@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -287,6 +287,22 @@ def totally_determined_nullspace(
     s = np.linalg.svd(system, compute_uv=False)
     rank = int(np.sum(s > tol.rank * s[0])) if s[0] > 0 else 0
     return d * d - rank
+
+
+class OracleVerdict(NamedTuple):
+    clean: bool
+    nullity: int
+
+
+def oracle_verdict(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> OracleVerdict:
+    """The nullspace oracle's verdict: clean iff rank-one or nullity 1.
+
+    Independent of :func:`decide_clean`; the two must agree.
+    """
+    supports = [s.ket for s in rank_one_supports(povm)]
+    nullity = totally_determined_nullspace(supports, povm.dim, tol)
+    rank_one = all(e.rank == 1 for e in povm.elements)
+    return OracleVerdict(rank_one or nullity == 1, nullity)
 
 
 def is_projective_frame(vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> bool:

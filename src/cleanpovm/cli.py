@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .cleanness import VerdictReason, decide_clean, totally_determined_nullspace
+from .cleanness import VerdictReason, decide_clean, oracle_verdict
 from .errors import CleanPovmError, ConstructionFailed, InfeasibleRequest, NotQuasiQubit
 from .fuzz import run_fuzz
 from .linalg import DEFAULT_TOL, Tolerances
-from .povm import random_povm, rank_one_supports
+from .povm import random_povm
 from .witness import build_witness, verify_witness
 
 EXIT_CLEAN = 0
@@ -79,19 +79,19 @@ def cmd_check(args) -> int:
     }
 
     if args.oracle:
-        supports = [s.ket for s in rank_one_supports(povm)]
         if verdict.reason is VerdictReason.TRIVIAL_SINGLE_OUTCOME:
             print("oracle: skipped (single-outcome POVM {1} is clean by convention)")
             payload["oracle"] = {"skipped": True}
         else:
-            nullity = totally_determined_nullspace(supports, povm.dim, tol)
-            rank_one = all(e.rank == 1 for e in povm.elements)
-            oracle_clean = rank_one or nullity == 1
-            agrees = oracle_clean == verdict.clean
-            print(f"oracle: nullspace dimension {nullity}, clean={oracle_clean}, agreement={agrees}")
+            oracle = oracle_verdict(povm, tol)
+            agrees = oracle.clean == verdict.clean
+            print(
+                f"oracle: nullspace dimension {oracle.nullity}, clean={oracle.clean}, "
+                f"agreement={agrees}"
+            )
             payload["oracle"] = {
-                "nullspace_dimension": nullity,
-                "clean": oracle_clean,
+                "nullspace_dimension": oracle.nullity,
+                "clean": oracle.clean,
                 "agreement": agrees,
             }
             if not agrees:

@@ -17,7 +17,7 @@ import numpy as np
 from .channel import KrausChannel
 from .errors import CleanPovmError, InvalidMatrix
 from .linalg import DEFAULT_TOL, Tolerances
-from .povm import Povm, validate
+from .povm import Povm, povm_unchecked, validate
 from .witness import MAX_EIG_INCREASE, MIN_EIG_DECREASE, Witness
 
 
@@ -57,7 +57,8 @@ def povm_to_json(povm: Povm) -> dict:
     return out
 
 
-def povm_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> Povm:
+def povm_from_json(obj, tol: Tolerances = DEFAULT_TOL, checked: bool = True) -> Povm:
+    """Parse a POVM object; ``checked=False`` skips the POVM axiom checks."""
     if not isinstance(obj, dict):
         raise FileFormatError("POVM file must contain a JSON object")
     try:
@@ -76,7 +77,7 @@ def povm_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> Povm:
     ):
         raise FileFormatError("labels must be a list matching the element count")
     try:
-        return validate(mats, tol, labels)
+        return (validate if checked else povm_unchecked)(mats, tol, labels)
     except InvalidMatrix as exc:
         raise FileFormatError(str(exc)) from exc
 
@@ -103,7 +104,9 @@ def witness_bundle_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, 
         if key not in obj:
             raise FileFormatError(f"witness bundle missing key {key!r}")
     target = povm_from_json(obj["povm_p"], tol)
-    q = povm_from_json(obj["povm_q"], tol)
+    # no axiom gates on Q either: an invalid Q is a verification outcome
+    # (verify_witness check (i)), not a parse error
+    q = povm_from_json(obj["povm_q"], tol, checked=False)
     ch = obj["channel"]
     try:
         dim = int(ch["dim"])

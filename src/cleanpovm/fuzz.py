@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cleanness import decide_clean, totally_determined_nullspace
+from .cleanness import decide_clean, oracle_verdict
+from .errors import ConstructionFailed
 from .fileio import povm_to_json
 from .linalg import DEFAULT_TOL, Tolerances, haar_unitary
-from .povm import Povm, random_povm, random_split_povm, rank_one_supports, validate
-from .witness import build_witness, verify_witness
+from .povm import Povm, random_povm, random_split_povm, validate
+from .witness import build_witness
 
 
 @dataclass
@@ -110,29 +111,26 @@ def random_quasi_qubit_instance(dim: int, rng: np.random.Generator) -> tuple[str
     raise AssertionError(f"unhandled scenario {scenario}")
 
 
-def oracle_agrees(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, bool, bool]:
-    """(verdicts agree, algorithm says clean, oracle says clean)."""
-    verdict = decide_clean(povm, tol)
-    supports = [s.ket for s in rank_one_supports(povm)]
-    rank_one = all(e.rank == 1 for e in povm.elements)
-    nullity = totally_determined_nullspace(supports, povm.dim, tol)
-    oracle_clean = rank_one or nullity == 1
-    return verdict.clean == oracle_clean, verdict.clean, oracle_clean
-
-
 def check_instance(povm: Povm, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL):
-    """Run all per-instance assertions; returns (verdict, case_tag, problems)."""
+    """Run all per-instance assertions; returns (verdict, case_tag, problems).
+
+    Each check runs once: three decisions (as given, permuted, conjugated),
+    one oracle, and for a not-clean verdict one witness, which
+    ``build_witness`` verifies.
+    """
     problems: list[str] = []
     verdict = decide_clean(povm, tol)
 
-    agree, _, oracle_clean = oracle_agrees(povm, tol)
-    if not agree:
+    oracle = oracle_verdict(povm, tol)
+    if oracle.clean != verdict.clean:
         problems.append(
-            f"oracle disagreement: verdict clean={verdict.clean}, oracle clean={oracle_clean}"
+            f"oracle disagreement: verdict clean={verdict.clean}, oracle clean={oracle.clean}"
         )
 
     perm = rng.permutation(povm.n_outcomes)
-    permuted = validate([povm.elements[i].matrix for i in perm], tol)
+    # the POVM's validated elements, reordered; revalidating them at the same
+    # tolerance would give them back bit for bit
+    permuted = Povm(povm.dim, tuple(povm.elements[i] for i in perm))
     if decide_clean(permuted, tol).clean != verdict.clean:
         problems.append("verdict changed under element permutation")
 
@@ -143,13 +141,17 @@ def check_instance(povm: Povm, rng: np.random.Generator, tol: Tolerances = DEFAU
 
     case_tag = None
     if not verdict.clean:
-        witness = build_witness(povm, verdict, tol)
-        case_tag = witness.case_tag
-        report = verify_witness(povm, witness, tol)
-        if not report.passed:
+        try:
+            case_tag = build_witness(povm, verdict, tol).case_tag
+        except ConstructionFailed as exc:
+            report = exc.diagnostics
+            if "q_valid" not in report:
+                raise  # the construction broke down before verification
+            case_tag = exc.case_tag
             problems.append(
-                f"witness verification failed: unital={report.channel_unital} "
-                f"maps={report.maps_to_target} widened={report.widened} valid={report.q_valid}"
+                f"witness verification failed: unital={report['channel_unital']} "
+                f"maps={report['maps_to_target']} widened={report['widened']} "
+                f"valid={report['q_valid']}"
             )
     return verdict, case_tag, problems
 

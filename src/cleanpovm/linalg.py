@@ -73,8 +73,9 @@ def as_ket(vector, dim=None) -> np.ndarray:
 
 
 def hermitian_part(matrix) -> np.ndarray:
+    """Hermitian part ``(A + A^dagger) / 2`` of a matrix or of each matrix in a stack."""
     a = np.asarray(matrix, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def eig_hermitian(matrix, tol: Tolerances = DEFAULT_TOL):

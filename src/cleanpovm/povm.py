@@ -112,41 +112,8 @@ class RankOneSupport(NamedTuple):
     ket: np.ndarray
 
 
-def _build_element(matrix, index: int, tol: Tolerances) -> PovmElement:
-    a = as_operator(matrix)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    asym = float(np.linalg.norm(a - a.conj().T))
-    if asym > tol.herm * scale:
-        raise NonHermitianInput(f"element {index}: asymmetry {asym:.3e} exceeds tolerance")
-    h = hermitian_part(a)
-    w, v = np.linalg.eigh(h)
-    lam_max = float(w[-1])
-    if w[0] < -tol.psd * max(1.0, lam_max):
-        raise NotPsd(
-            f"element {index}: minimum eigenvalue {w[0]:.3e}",
-            index=index,
-            min_eigenvalue=float(w[0]),
-        )
-    if np.linalg.norm(h) <= tol.zero:
-        raise ZeroElement(f"element {index} is numerically zero", index=index)
-    rank = int(np.sum(w > tol.rank * lam_max))
-    weight = None
-    support = None
-    if rank == 1:
-        weight = lam_max
-        support = fix_support_phase(v[:, -1])
-    h.setflags(write=False)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return PovmElement(h, w, v, rank, weight, support)
-
-
-def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
-    """Check the POVM axioms and return a :class:`Povm` with cached eigendata.
-
-    Raises ``DimensionMismatch``, ``NonHermitianInput``, ``NotPsd(index)``,
-    ``ZeroElement(index)`` or ``ClosureViolation`` as appropriate.
-    """
+def _stack(matrices) -> np.ndarray:
+    """The matrices as one ``(n, d, d)`` complex array, after the shape checks."""
     mats = [as_operator(m) for m in matrices]
     if not mats:
         raise DimensionMismatch("a POVM needs at least one element")
@@ -155,18 +122,99 @@ def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> 
         raise DimensionMismatch("dimension must be at least 2")
     if any(m.shape != (d, d) for m in mats):
         raise DimensionMismatch("POVM elements have mixed dimensions")
-    elements = tuple(_build_element(m, i, tol) for i, m in enumerate(mats))
+    return np.stack(mats)
+
+
+def _fro_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack.
+
+    Summed as ``np.linalg.norm`` sums a single matrix (real and imaginary
+    dot products of the flattened entries), so every tolerance comparison
+    decides exactly as a per-matrix norm would.
+    """
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def _eigh(h: np.ndarray, tol: Tolerances):
+    """Eigenvalues, eigenvectors and ranks of a Hermitian stack, in one ``eigh`` call."""
+    w, v = np.linalg.eigh(h)
+    return w, v, np.sum(w > tol.rank * w[:, -1:], axis=1)
+
+
+def _elements(stack: np.ndarray, w, v, ranks) -> tuple[PovmElement, ...]:
+    """Read-only elements over the stacked matrices and their eigendata."""
+    for a in (stack, w, v):
+        a.setflags(write=False)
+    elements = []
+    for i, rank in enumerate(ranks.tolist()):
+        weight = support = None
+        if rank == 1:
+            weight = float(w[i, -1])
+            support = fix_support_phase(v[i, :, -1])
+        elements.append(PovmElement(stack[i], w[i], v[i], rank, weight, support))
+    return tuple(elements)
+
+
+def _labels(labels, count: int) -> Optional[tuple[str, ...]]:
+    if labels is None:
+        return None
+    labels = tuple(str(s) for s in labels)
+    if len(labels) != count:
+        raise DimensionMismatch("label count does not match element count")
+    return labels
+
+
+def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
+    """Check the POVM axioms and return a :class:`Povm` with cached eigendata.
+
+    All elements are checked in one stacked pass. The first failing element
+    in input order decides the error; within it, hermiticity is checked
+    before PSD, and PSD before zero. Raises ``DimensionMismatch``,
+    ``NonHermitianInput``, ``NotPsd(index)``, ``ZeroElement(index)`` or
+    ``ClosureViolation`` as appropriate.
+    """
+    a = _stack(matrices)
+    d = a.shape[1]
+    asym = _fro_norms(a - a.conj().swapaxes(1, 2))
+    non_hermitian = asym > tol.herm * np.maximum(1.0, _fro_norms(a))
+    h = hermitian_part(a)
+    w, v, ranks = _eigh(h, tol)
+    lam_min = w[:, 0]
+    not_psd = lam_min < -tol.psd * np.maximum(1.0, w[:, -1])
+    zero = _fro_norms(h) <= tol.zero
+    bad = np.flatnonzero(non_hermitian | not_psd | zero)
+    if bad.size:
+        i = int(bad[0])
+        if non_hermitian[i]:
+            raise NonHermitianInput(f"element {i}: asymmetry {asym[i]:.3e} exceeds tolerance")
+        if not_psd[i]:
+            raise NotPsd(
+                f"element {i}: minimum eigenvalue {lam_min[i]:.3e}",
+                index=i,
+                min_eigenvalue=float(lam_min[i]),
+            )
+        raise ZeroElement(f"element {i} is numerically zero", index=i)
+    elements = _elements(h, w, v, ranks)
     total = sum(e.matrix for e in elements)
     residual = float(np.linalg.norm(total - np.eye(d)))
     if residual > tol.closure:
         raise ClosureViolation(
             f"sum of elements deviates from identity by {residual:.3e}", residual=residual
         )
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != len(elements):
-            raise DimensionMismatch("label count does not match element count")
-    return Povm(d, elements, labels)
+    return Povm(d, elements, _labels(labels, len(elements)))
+
+
+def povm_unchecked(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
+    """A :class:`Povm` with cached eigendata but without the axiom checks.
+
+    For certificates read from files: the matrices are kept exactly as
+    given, so that :func:`cleanpovm.witness.verify_witness` decides whether
+    they form a POVM. Only shapes and labels are checked.
+    """
+    a = _stack(matrices)
+    elements = _elements(a, *_eigh(hermitian_part(a), tol))
+    return Povm(a.shape[1], elements, _labels(labels, len(elements)))
 
 
 def classify(povm: Povm) -> RankProfile:

@@ -39,6 +39,7 @@ from .cleanness import (
     separating_pair,
 )
 from .errors import (
+    CleanPovmError,
     ClosureViolation,
     ConstructionFailed,
     DimensionMismatch,
@@ -122,7 +123,7 @@ def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> 
     try:
         validate([e.matrix for e in witness.q.elements], tol, witness.q.labels)
         q_valid = True
-    except Exception:
+    except CleanPovmError:
         q_valid = False
 
     closure_residual = witness.channel.closure_residual()

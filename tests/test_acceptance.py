@@ -23,7 +23,7 @@ from cleanpovm.channel import (
     spectrum_width_check,
     superop,
 )
-from cleanpovm.cleanness import decide_clean, totally_determined_nullspace
+from cleanpovm.cleanness import OracleVerdict, decide_clean, oracle_verdict
 from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import haar_unitary, random_hermitian, random_psd
 from cleanpovm.povm import rank_one_supports, validate
@@ -39,7 +39,7 @@ class Record:
     povm: object
     verdict: object
     rank_one: bool
-    nullity: int
+    oracle: OracleVerdict
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -58,10 +58,8 @@ def corpus():
             rng = np.random.default_rng([_SEED, d, index])
             _, povm = random_quasi_qubit_instance(d, rng)
             verdict = decide_clean(povm)
-            supports = [s.ket for s in rank_one_supports(povm)]
             rank_one = all(e.rank == 1 for e in povm.elements)
-            nullity = totally_determined_nullspace(supports, d)
-            records.append(Record(povm, verdict, rank_one, nullity))
+            records.append(Record(povm, verdict, rank_one, oracle_verdict(povm)))
         data[d] = records
     print(f"corpus: {len(CORPUS_DIMS) * CORPUS_SIZE} instances in {time.perf_counter() - start:.1f} s")
     return data
@@ -72,9 +70,8 @@ def test_criterion_1_oracle_agreement(corpus):
     mismatches = []
     for d in CORPUS_DIMS:
         for i, rec in enumerate(corpus[d]):
-            oracle_clean = rec.rank_one or rec.nullity == 1
-            if rec.verdict.clean != oracle_clean:
-                mismatches.append((d, i, rec.verdict.reason.value, rec.nullity))
+            if rec.verdict.clean != rec.oracle.clean:
+                mismatches.append((d, i, rec.verdict.reason.value, rec.oracle.nullity))
     ok = not mismatches
     _report(1, "oracle agreement", ok,
             f"{len(CORPUS_DIMS) * CORPUS_SIZE} instances, {time.perf_counter() - start:.1f} s")

@@ -8,11 +8,12 @@ from cleanpovm.cleanness import (
     VerdictReason,
     decide_clean,
     is_projective_frame,
+    oracle_verdict,
     separating_pair,
     totally_determined_nullspace,
 )
 from cleanpovm.errors import NotQuasiQubit, SingleBlock, WrongCount
-from cleanpovm.fuzz import oracle_agrees, random_quasi_qubit_instance
+from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import haar_unitary
 from cleanpovm.povm import random_povm, rank_one_supports, validate
 
@@ -161,13 +162,22 @@ class TestNullspaceOracle:
     def test_no_supports(self):
         assert totally_determined_nullspace([], 3) == 9
 
+    def test_oracle_verdict_split(self):
+        assert oracle_verdict(qb_not_clean()) == (False, 2)
+
+    def test_oracle_verdict_rank_one_is_clean(self):
+        # the standard observable: two orthogonal supports leave nullity 2,
+        # but a rank-one POVM is clean whatever the nullity
+        p = validate([projector(E1), projector(E2)])
+        assert oracle_verdict(p) == (True, 2)
+
     def test_agreement_with_algorithm(self):
         rng = np.random.default_rng(99)
         for _ in range(150):
             d = int(rng.integers(2, 6))
             _, p = random_quasi_qubit_instance(d, rng)
-            agree, algo, oracle = oracle_agrees(p)
-            assert agree, f"algorithm={algo} oracle={oracle}"
+            algo, oracle = decide_clean(p).clean, oracle_verdict(p).clean
+            assert algo == oracle, f"algorithm={algo} oracle={oracle}"
 
     def test_qubit_closed_form(self):
         # d=2: clean iff rank-one or three pairwise non-colinear supports exist

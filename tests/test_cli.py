@@ -7,7 +7,7 @@ import pytest
 
 from cleanpovm.cli import main
 from cleanpovm.fileio import load_json, save_povm
-from cleanpovm.povm import validate
+from cleanpovm.povm import random_split_povm, validate
 
 
 @pytest.fixture
@@ -31,6 +31,13 @@ def trine_file(tmp_path):
     p = validate([(2 / 3) * np.outer(k, k.conj()) for k in kets])
     path = tmp_path / "trine.json"
     save_povm(path, p)
+    return path
+
+
+@pytest.fixture
+def oblique_file(tmp_path):
+    path = tmp_path / "oblique.json"
+    save_povm(path, random_split_povm(2, 1, 1, 1, seed=0, oblique=True))
     return path
 
 
@@ -109,6 +116,26 @@ class TestVerify:
         rc = main(["verify", "--povm", str(qb_file), "--witness", str(bundle)])
         assert rc == 3
         assert "rejected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tamper", ["not-psd", "non-hermitian"])
+    def test_invalid_q_is_a_rejection(self, oblique_file, tmp_path, capsys, tamper):
+        bundle = tmp_path / "w.json"
+        assert main(["check", "--input", str(oblique_file), "--witness-out", str(bundle)]) == 3
+        assert "witness: case d" in capsys.readouterr().out
+        obj = load_json(bundle)
+        q1 = obj["povm_q"]["elements"][0]
+        if tamper == "not-psd":
+            for k in range(len(q1)):
+                q1[k][k][0] -= 2.0  # Q_1 - 2 * identity
+        else:
+            q1[0][1][1] += 0.5
+        bundle.write_text(json.dumps(obj))
+        rc = main(["verify", "--povm", str(oblique_file), "--witness", str(bundle)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "q_valid: False" in captured.out
+        assert "witness rejected" in captured.out
+        assert captured.err == ""
 
     def test_dim_mismatch(self, qb_file, tmp_path):
         bundle = tmp_path / "w.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cleanpovm.cleanness import decide_clean
+from cleanpovm.errors import NotPsd
 from cleanpovm.fileio import (
     FileFormatError,
     dumps_canonical,
@@ -107,3 +108,16 @@ class TestWitnessBundleFormat:
         bad["widened_index"] = 99
         with pytest.raises(FileFormatError):
             witness_bundle_from_json(bad)
+
+    def test_invalid_q_parses_and_fails_check_i(self):
+        p = qb_not_clean()
+        w = build_witness(p, decide_clean(p))
+        obj = witness_bundle_to_json(p, w)
+        obj["povm_q"]["elements"][0] = [[[-2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        target, loaded = witness_bundle_from_json(obj)
+        assert np.array_equal(loaded.q.elements[0].matrix, np.diag([-2.0, 0.0]))
+        assert loaded.q.elements[0].min_eigenvalue == -2.0
+        report = verify_witness(target, loaded)
+        assert not report.q_valid and not report.passed
+        with pytest.raises(NotPsd):
+            povm_from_json(obj["povm_q"])  # a POVM file still gets the axiom checks

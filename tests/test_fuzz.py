@@ -1,0 +1,119 @@
+"""Tests for the fuzz harness: each check runs once and still catches its fault."""
+
+import numpy as np
+import pytest
+
+from cleanpovm import fuzz, witness
+from cleanpovm.cleanness import CleannessVerdict, OracleVerdict, decide_clean
+from cleanpovm.cli import main
+from cleanpovm.errors import ConstructionFailed, EpsilonSearchFailed
+from cleanpovm.povm import validate
+from cleanpovm.witness import WitnessReport
+
+
+def not_clean_povm():
+    """Partition split with a case-b witness."""
+    return validate([np.diag([0.25, 0.0]), np.diag([0.0, 0.25]), np.diag([0.75, 0.75])])
+
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that its calls are counted."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_each_check_runs_once(monkeypatch):
+    decides = counting(monkeypatch, fuzz, "decide_clean")
+    oracles = counting(monkeypatch, fuzz, "oracle_verdict")
+    verifies = counting(monkeypatch, witness, "verify_witness")
+    p = not_clean_povm()
+    verdict, case_tag, problems = fuzz.check_instance(p, np.random.default_rng(0))
+    assert not verdict.clean and case_tag == "b" and problems == []
+    assert (len(decides), len(oracles), len(verifies)) == (3, 1, 1)
+
+
+def test_permuted_copy_reuses_validated_elements(monkeypatch):
+    decides = counting(monkeypatch, fuzz, "decide_clean")
+    p = not_clean_povm()
+    fuzz.check_instance(p, np.random.default_rng(0))
+    permuted = decides[1][0]
+    assert sorted(map(id, permuted.elements)) == sorted(map(id, p.elements))
+
+
+def test_failed_verification_is_a_violation(monkeypatch):
+    def failing(p, w, tol=None):
+        return WitnessReport(True, True, True, False, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(witness, "verify_witness", failing)
+    _, case_tag, problems = fuzz.check_instance(not_clean_povm(), np.random.default_rng(0))
+    assert case_tag == "b"
+    assert problems == [
+        "witness verification failed: unital=True maps=True widened=False valid=True"
+    ]
+
+
+def test_construction_breakdown_stays_an_unexpected_error(monkeypatch):
+    def breaks(*args, **kwargs):
+        raise EpsilonSearchFailed("no eps")
+
+    monkeypatch.setattr(witness, "witness_case_b", breaks)
+    with pytest.raises(ConstructionFailed):
+        fuzz.check_instance(not_clean_povm(), np.random.default_rng(0))
+
+
+def test_oracle_disagreement_is_a_violation(monkeypatch):
+    monkeypatch.setattr(fuzz, "oracle_verdict", lambda povm, tol=None: OracleVerdict(True, 1))
+    _, _, problems = fuzz.check_instance(not_clean_povm(), np.random.default_rng(0))
+    assert problems == ["oracle disagreement: verdict clean=False, oracle clean=True"]
+
+
+@pytest.mark.parametrize(
+    "flipped_call, message",
+    [
+        (1, "verdict changed under element permutation"),
+        (2, "verdict changed under unitary conjugation"),
+    ],
+)
+def test_changed_verdict_is_a_violation(monkeypatch, flipped_call, message):
+    calls = []
+
+    def flipping(povm, tol=None):
+        verdict = decide_clean(povm)
+        calls.append(verdict)
+        if len(calls) - 1 == flipped_call:
+            return CleannessVerdict(not verdict.clean, verdict.reason, None, None)
+        return verdict
+
+    monkeypatch.setattr(fuzz, "decide_clean", flipping)
+    _, _, problems = fuzz.check_instance(not_clean_povm(), np.random.default_rng(0))
+    assert problems == [message]
+
+
+def test_run_fuzz_records_violations(monkeypatch):
+    monkeypatch.setattr(fuzz, "oracle_verdict", lambda povm, tol=None: OracleVerdict(False, 0))
+    summary = fuzz.run_fuzz(dim=2, count=10, seed=3)
+    clean = summary.verdict_counts["RankOne"] + summary.verdict_counts["TotallyDetermined"]
+    assert clean > 0
+    assert len(summary.violations) == clean
+    assert all(v.message.startswith("oracle disagreement") for v in summary.violations)
+
+
+def test_reference_run_counts(tmp_path, capsys):
+    """The d = 4 reference run: same verdicts, cases and no violations."""
+    rc = main(["fuzz", "--dim", "4", "--count", "1000", "--seed", "1",
+               "--repro-dir", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert (
+        "verdicts: {'PartitionSplit': 242, 'RankOne': 104, 'ScalarElements': 55, "
+        "'SupportsDoNotSpan': 443, 'TotallyDetermined': 156}"
+    ) in lines
+    assert "witness cases: {'a': 55, 'b': 224, 'c': 323, 'd': 138}" in lines
+    assert "violations: 0" in lines

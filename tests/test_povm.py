@@ -8,14 +8,18 @@ from cleanpovm.errors import (
     DimensionMismatch,
     EquivalenceInconclusive,
     InfeasibleRequest,
+    NonHermitianInput,
     NotPsd,
     ZeroElement,
 )
-from cleanpovm.linalg import haar_unitary
+from cleanpovm.fuzz import random_quasi_qubit_instance
+from cleanpovm.linalg import DEFAULT_TOL, haar_unitary, hermitian_part
 from cleanpovm.povm import (
     PovmClass,
+    _fro_norms,
     classify,
     fix_support_phase,
+    povm_unchecked,
     random_povm,
     random_split_povm,
     rank_one_supports,
@@ -76,6 +80,87 @@ class TestValidate:
         m1[0, 1] = 1e-12
         p = validate([m1, diag(0.5, 0.5)])
         assert np.allclose(p.elements[0].matrix, p.elements[0].matrix.conj().T)
+
+
+class TestStackedValidate:
+    """validate checks all elements in one stacked pass; the results must
+    equal a per-element computation bit for bit."""
+
+    def test_first_bad_element_decides(self):
+        skew = diag(0.2, 0.2)
+        skew[0, 1] = 0.1
+        with pytest.raises(NotPsd) as info:
+            validate([diag(0.5, 0.5), diag(-0.1, 0.5), skew])
+        assert info.value.index == 1
+        with pytest.raises(NonHermitianInput, match="element 1:"):
+            validate([diag(0.5, 0.5), skew, diag(-0.1, 0.5)])
+
+    def test_zero_before_not_psd(self):
+        with pytest.raises(ZeroElement) as info:
+            validate([diag(0, 0), diag(-0.1, 0.5), diag(1.1, 0.5)])
+        assert info.value.index == 0
+
+    def test_hermiticity_then_psd_within_an_element(self):
+        both = diag(-0.5, 0.5)
+        both[0, 1] = 0.1
+        with pytest.raises(NonHermitianInput, match="element 1:"):
+            validate([diag(0.5, 0.5), both])
+        with pytest.raises(NotPsd) as info:
+            validate([diag(0.5, 0.5), diag(-0.5, 0.0)])  # not PSD and not zero
+        assert info.value.index == 1
+        assert info.value.min_eigenvalue == -0.5
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_matches_per_element_eigendata(self, d):
+        rng = np.random.default_rng([31, d])
+        for _ in range(20):
+            _, p = random_quasi_qubit_instance(d, rng)
+            # small non-Hermitian noise, so that the Hermitian part is not the input
+            mats = [
+                e.matrix + 1e-12 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                for e in p.elements
+            ]
+            q = validate(mats)
+            for a, e in zip(mats, q.elements):
+                h = hermitian_part(a)
+                w, v = np.linalg.eigh(h)
+                rank = int(np.sum(w > DEFAULT_TOL.rank * w[-1]))
+                assert np.array_equal(e.matrix, h)
+                assert np.array_equal(e.eigenvalues, w)
+                assert np.array_equal(e.eigenvectors, v)
+                assert e.rank == rank
+                if rank == 1:
+                    assert e.weight == float(w[-1])
+                    assert np.array_equal(e.support, fix_support_phase(v[:, -1]))
+                else:
+                    assert e.weight is None and e.support is None
+
+    def test_stacked_norms_match_per_matrix_norms(self):
+        # the hermiticity and zero gates compare these norms with tolerances
+        rng = np.random.default_rng(8)
+        for d in (2, 3, 5, 8, 16):
+            a = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+            assert np.array_equal(_fro_norms(a), [np.linalg.norm(m) for m in a])
+
+    def test_cached_arrays_read_only(self):
+        p = random_povm("strict-quasi-qubit", 3, 4, 5)
+        for e in p.elements:
+            for a in (e.matrix, e.eigenvalues, e.eigenvectors):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0
+                with pytest.raises(ValueError):
+                    a.setflags(write=True)
+
+    def test_unchecked_keeps_matrices_and_skips_axioms(self):
+        skew = diag(-1.5, 0.5)
+        skew[0, 1] = 0.25
+        q = povm_unchecked([skew, diag(0.5, 0.5)])
+        assert np.array_equal(q.elements[0].matrix, skew)
+        assert np.array_equal(q.elements[0].eigenvalues, np.linalg.eigvalsh(hermitian_part(skew)))
+        assert not q.elements[0].matrix.flags.writeable
+        with pytest.raises(DimensionMismatch):
+            povm_unchecked([np.eye(2), np.eye(3)])
 
 
 class TestClassify:
