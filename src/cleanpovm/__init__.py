@@ -6,27 +6,21 @@ element rank one or full rank) this package decides cleanness, cross-checks
 the verdict with an independent nullspace oracle, and constructs a
 verifiable counter-witness (Q, E) with E(Q) = P and a strictly wider
 spectrum whenever P is not clean.
+
+The names below are the documented entry points and the types a caller
+must name; everything else is reached through its submodule.
 """
 
 from .channel import (
     KrausChannel,
-    NearIdentityBound,
-    PositiveMapInverse,
-    SpectrumWidthReport,
     apply,
     apply_to_povm,
     f_bound,
-    hs_norm,
-    induced_norm,
     invert_positive_map,
     min_eig_lower_bound,
-    near_identity_channel,
-    random_channel,
     spectrum_width_check,
-    superop,
 )
 from .cleanness import (
-    BlockPartition,
     CleannessVerdict,
     VerdictReason,
     decide_clean,
@@ -35,31 +29,16 @@ from .cleanness import (
     totally_determined_nullspace,
 )
 from .errors import CleanPovmError
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    coords_in_basis,
-    eig_hermitian,
-    greedy_basis_subset,
-    psd_sqrt,
-    superop_matrix,
-    superop_solve,
-)
+from .linalg import DEFAULT_TOL, Tolerances
 from .povm import (
     Povm,
-    PovmClass,
-    PovmElement,
-    RankProfile,
     classify,
     random_povm,
     random_split_povm,
     rank_one_supports,
-    unitary_equivalence_check,
     validate,
 )
 from .witness import (
-    MAP_RESIDUAL_TOL,
-    WIDENING_MARGIN,
     Witness,
     WitnessReport,
     build_witness,
@@ -73,51 +52,30 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPartition",
     "CleanPovmError",
     "CleannessVerdict",
     "DEFAULT_TOL",
     "KrausChannel",
-    "MAP_RESIDUAL_TOL",
-    "NearIdentityBound",
     "Povm",
-    "PovmClass",
-    "PovmElement",
-    "PositiveMapInverse",
-    "RankProfile",
-    "SpectrumWidthReport",
     "Tolerances",
     "VerdictReason",
-    "WIDENING_MARGIN",
     "Witness",
     "WitnessReport",
     "apply",
     "apply_to_povm",
     "build_witness",
     "classify",
-    "coords_in_basis",
     "decide_clean",
-    "eig_hermitian",
     "f_bound",
-    "greedy_basis_subset",
-    "hs_norm",
-    "induced_norm",
     "invert_positive_map",
     "is_projective_frame",
     "min_eig_lower_bound",
-    "near_identity_channel",
-    "psd_sqrt",
-    "random_channel",
     "random_povm",
     "random_split_povm",
     "rank_one_supports",
     "separating_pair",
     "spectrum_width_check",
-    "superop",
-    "superop_matrix",
-    "superop_solve",
     "totally_determined_nullspace",
-    "unitary_equivalence_check",
     "validate",
     "verify_witness",
     "witness_case_a",

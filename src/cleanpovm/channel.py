@@ -31,8 +31,7 @@ from .linalg import (
     haar_unitary,
     psd_sqrt,
     superop_matrix,
-    unvec,
-    vec,
+    superop_solve,
 )
 from .povm import Povm, validate
 
@@ -155,52 +154,20 @@ class PositiveMapInverse:
 
     channel: KrausChannel
     superop: np.ndarray
-    bound: Optional[NearIdentityBound]
 
     def solve(self, target, residual_tol: float = 1e-8) -> np.ndarray:
-        """Solve ``E(A) = target``; certified by the round-trip residual."""
-        t = as_operator(target)
-        d = self.channel.dim
-        if t.shape != (d, d):
-            raise DimensionMismatch("target dimension does not match channel")
-        x = self._solve_columns(vec(t).reshape(-1, 1), residual_tol)
-        return hermitian_part(unvec(x[:, 0], d))
-
-    def solve_all(self, targets, residual_tol: float = 1e-8) -> list[np.ndarray]:
-        """Solve for several targets with a single factorization."""
-        d = self.channel.dim
-        mats = [as_operator(t) for t in targets]
-        rhs = np.column_stack([vec(t) for t in mats])
-        x = self._solve_columns(rhs, residual_tol)
-        return [hermitian_part(unvec(x[:, i], d)) for i in range(len(mats))]
-
-    def _solve_columns(self, rhs: np.ndarray, residual_tol: float) -> np.ndarray:
-        try:
-            x = np.linalg.solve(self.superop, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSuperop(f"linear solve failed: {exc}") from exc
-        if not np.all(np.isfinite(x)):
-            raise SingularSuperop("linear solve produced non-finite values")
-        residual = np.linalg.norm(self.superop @ x - rhs, axis=0)
-        scale = np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-        worst = float(np.max(residual / scale))
-        if worst > residual_tol:
-            raise SingularSuperop(f"round-trip residual {worst:.3e} exceeds {residual_tol:.1e}")
-        return x
+        """Solve ``E(A) = target`` for one target or a stack; see :func:`superop_solve`."""
+        return superop_solve(self.superop, target, residual_tol)
 
 
 def invert_positive_map(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> PositiveMapInverse:
     """Invertible-map handle for the channel, certified on the identity probe.
 
-    The near-identity bound (when some Kraus operator is close enough to the
-    identity that f(eps) < 1) is attached as a certificate, but the solve is
-    a direct d^2 x d^2 linear solve, never a Neumann series, and works
-    whenever the superoperator is numerically nonsingular.
+    The solve is a direct d^2 x d^2 linear solve, never a Neumann series, and
+    works whenever the superoperator is numerically nonsingular, whether or
+    not the near-identity bound :func:`f_bound` applies.
     """
-    s = superop(channel)
-    eps = channel.identity_distance()
-    bound = f_bound(eps, channel.dim)
-    handle = PositiveMapInverse(channel, s, bound if bound.f_eps < 1.0 else None)
+    handle = PositiveMapInverse(channel, superop(channel))
     probe = handle.solve(np.eye(channel.dim))  # E is unital, so E^-1(1) = 1
     if np.linalg.norm(probe - np.eye(channel.dim)) > 1e-8:
         raise SingularSuperop("identity probe failed; map is not reliably invertible")

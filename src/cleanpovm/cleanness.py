@@ -151,7 +151,7 @@ def decide_clean(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> CleannessVerdict:
     """
     profile = classify(povm)
     if not profile.is_quasi_qubit:
-        bad = [i for i, r in enumerate(profile.ranks) if r not in (1, povm.dim)]
+        bad = [i + 1 for i, r in enumerate(profile.ranks) if r not in (1, povm.dim)]
         raise NotQuasiQubit(
             f"elements {bad} have rank outside {{1, {povm.dim}}}: ranks {profile.ranks}"
         )

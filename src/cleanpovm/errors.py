@@ -70,10 +70,6 @@ class InfeasibleRequest(CleanPovmError):
     """Requested random POVM parameters are unsatisfiable."""
 
 
-class EquivalenceInconclusive(CleanPovmError):
-    """Unitary-equivalence test hit degenerate spectra on every retry."""
-
-
 class VerdictIsClean(CleanPovmError):
     """Witness construction requested for a clean verdict."""
 

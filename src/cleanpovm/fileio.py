@@ -113,6 +113,8 @@ def witness_bundle_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, 
         kraus_rows = ch["kraus"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"channel block malformed: {exc}") from exc
+    if not isinstance(kraus_rows, list):
+        raise FileFormatError("channel kraus must be a list of matrices")
     kraus = [matrix_from_json(rows, f"kraus {i + 1}") for i, rows in enumerate(kraus_rows)]
     if not kraus or any(k.shape != (dim, dim) for k in kraus):
         raise FileFormatError("kraus operator shapes do not match channel dim")
@@ -125,10 +127,16 @@ def witness_bundle_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, 
     direction = obj["direction"]
     if direction not in (MAX_EIG_INCREASE, MIN_EIG_DECREASE):
         raise FileFormatError(f"unknown direction {direction!r}")
-    widened = int(obj["widened_index"]) - 1
-    if not 0 <= widened < q.n_outcomes:
+    widened = obj["widened_index"]
+    if not isinstance(widened, int) or isinstance(widened, bool):
+        raise FileFormatError(f"widened_index must be an integer, got {widened!r}")
+    if not 1 <= widened <= q.n_outcomes:
         raise FileFormatError("widened_index out of range")
-    witness = Witness(q, channel, widened, case, float(obj["epsilon"]), direction)
+    try:
+        epsilon = float(obj["epsilon"])
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"epsilon must be a number: {exc}") from exc
+    witness = Witness(q, channel, widened - 1, case, epsilon, direction)
     return target, witness
 
 

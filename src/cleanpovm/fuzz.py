@@ -135,7 +135,9 @@ def check_instance(povm: Povm, rng: np.random.Generator, tol: Tolerances = DEFAU
         problems.append("verdict changed under element permutation")
 
     u = haar_unitary(povm.dim, rng)
-    conjugated = validate([u @ e.matrix @ u.conj().T for e in povm.elements], tol)
+    # validated at the tolerance the generator used, so that the conjugated
+    # copy, like the permuted one, keeps the ranks of the POVM as drawn
+    conjugated = validate([u @ e.matrix @ u.conj().T for e in povm.elements], DEFAULT_TOL)
     if decide_clean(conjugated, tol).clean != verdict.clean:
         problems.append("verdict changed under unitary conjugation")
 

@@ -175,24 +175,33 @@ def superop_matrix(kraus) -> np.ndarray:
     return s
 
 
-def superop_solve(superop, target, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve ``E(A) = target`` for A given the superoperator matrix of E.
+def superop_solve(superop, target, residual_tol: float = 1e-8) -> np.ndarray:
+    """Solve ``E(A) = target`` for A given the d^2 x d^2 superoperator matrix of E.
 
-    The solution is re-Hermitized; for an invertible positivity-preserving
-    map this is exact because such maps send Hermitian to Hermitian.
+    ``target`` is one d x d matrix or an ``(m, d, d)`` stack, solved with a
+    single factorization. Each solution must be finite and reproduce its
+    target to ``residual_tol`` relative to ``max(1, ||target||)``, else
+    :class:`SingularSuperop` is raised. The solutions are re-Hermitized; for
+    an invertible positivity-preserving map this is exact because such maps
+    send Hermitian to Hermitian.
     """
     s = np.asarray(superop, dtype=complex)
-    t = as_operator(target)
-    d = t.shape[0]
-    if s.shape != (d * d, d * d):
-        raise DimensionMismatch(f"superoperator shape {s.shape} does not match dim {d}")
-    sv = np.linalg.svd(s, compute_uv=False)
-    if sv[0] == 0 or sv[-1] <= tol.rank * sv[0]:
-        raise SingularSuperop(
-            f"singular values span {sv[0]:.3e}..{sv[-1]:.3e} at rank tol {tol.rank:.1e}"
-        )
-    x = np.linalg.solve(s, vec(t))
-    return hermitian_part(unvec(x, d))
+    t = np.asarray(target, dtype=complex)
+    d = t.shape[-1] if t.ndim in (2, 3) else 0
+    if d < 1 or t.shape[-2] != d or s.shape != (d * d, d * d):
+        raise DimensionMismatch(f"superoperator shape {s.shape} does not match targets {t.shape}")
+    rhs = np.ascontiguousarray(t.reshape(-1, d * d).T)  # one vec(target) per column
+    try:
+        x = np.linalg.solve(s, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSuperop(f"linear solve failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularSuperop("linear solve produced non-finite values")
+    residual = np.linalg.norm(s @ x - rhs, axis=0)
+    worst = float(np.max(residual / np.maximum(1.0, np.linalg.norm(rhs, axis=0))))
+    if worst > residual_tol:
+        raise SingularSuperop(f"round-trip residual {worst:.3e} exceeds {residual_tol:.1e}")
+    return hermitian_part(x.T.reshape(t.shape))
 
 
 def orthonormal_columns(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     ClosureViolation,
     DimensionMismatch,
-    EquivalenceInconclusive,
     InfeasibleRequest,
     NonHermitianInput,
     NotPsd,
@@ -84,9 +83,6 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
-
-    def matrices(self) -> list[np.ndarray]:
-        return [e.matrix.copy() for e in self.elements]
 
 
 class PovmClass(enum.Enum):
@@ -172,7 +168,8 @@ def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> 
     in input order decides the error; within it, hermiticity is checked
     before PSD, and PSD before zero. Raises ``DimensionMismatch``,
     ``NonHermitianInput``, ``NotPsd(index)``, ``ZeroElement(index)`` or
-    ``ClosureViolation`` as appropriate.
+    ``ClosureViolation`` as appropriate. Messages number elements from 1;
+    ``index`` is 0-based.
     """
     a = _stack(matrices)
     d = a.shape[1]
@@ -187,14 +184,14 @@ def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> 
     if bad.size:
         i = int(bad[0])
         if non_hermitian[i]:
-            raise NonHermitianInput(f"element {i}: asymmetry {asym[i]:.3e} exceeds tolerance")
+            raise NonHermitianInput(f"element {i + 1}: asymmetry {asym[i]:.3e} exceeds tolerance")
         if not_psd[i]:
             raise NotPsd(
-                f"element {i}: minimum eigenvalue {lam_min[i]:.3e}",
+                f"element {i + 1}: minimum eigenvalue {lam_min[i]:.3e}",
                 index=i,
                 min_eigenvalue=float(lam_min[i]),
             )
-        raise ZeroElement(f"element {i} is numerically zero", index=i)
+        raise ZeroElement(f"element {i + 1} is numerically zero", index=i)
     elements = _elements(h, w, v, ranks)
     total = sum(e.matrix for e in elements)
     residual = float(np.linalg.norm(total - np.eye(d)))
@@ -379,97 +376,3 @@ def random_split_povm(
 
     return _close_with_remainder(parts, d, rng)
 
-
-def unitary_equivalence_check(
-    p: Povm,
-    q: Povm,
-    tol: Tolerances = DEFAULT_TOL,
-    attempts: int = 8,
-    seed: int = 0,
-) -> Optional[np.ndarray]:
-    """Best-effort search for a unitary U with ``U P_i U^dagger = Q_i`` for all i.
-
-    Draws a random real combination ``sum_i c_i P_i`` / ``sum_i c_i Q_i``; when
-    both spectra are nondegenerate, matches eigenvectors by eigenvalue, fixes
-    phases against the individual elements, and verifies the candidate to a
-    residual of 1e-6. Returns ``None`` when a nondegenerate draw rules the
-    unitary out (this is evidence, not proof, of inequivalence). Raises
-    :class:`EquivalenceInconclusive` when every draw was degenerate.
-
-    This is a diagnostic; it plays no role in the cleanness verdict.
-    """
-    if p.dim != q.dim or p.n_outcomes != q.n_outcomes:
-        raise DimensionMismatch("POVMs must share dimension and outcome count")
-    d, n = p.dim, p.n_outcomes
-    rng = _as_generator(seed)
-    p_mats = [e.matrix for e in p.elements]
-    q_mats = [e.matrix for e in q.elements]
-    saw_nondegenerate = False
-
-    for _ in range(attempts):
-        c = rng.standard_normal(n)
-        mp = hermitian_part(sum(ci * m for ci, m in zip(c, p_mats)))
-        mq = hermitian_part(sum(ci * m for ci, m in zip(c, q_mats)))
-        wp, vp = np.linalg.eigh(mp)
-        wq, vq = np.linalg.eigh(mq)
-        scale = max(1.0, float(np.abs(wp).max()), float(np.abs(wq).max()))
-        gap = 1e-6 * scale
-        if np.min(np.diff(wp)) < gap or np.min(np.diff(wq)) < gap:
-            continue
-        saw_nondegenerate = True
-        if np.max(np.abs(wp - wq)) > 1e-6 * scale:
-            return None  # combined spectra differ; no unitary can conjugate P to Q
-
-        theta = _match_phases(p_mats, q_mats, vp, vq)
-        u = (vq * np.exp(1j * theta)) @ vp.conj().T
-        residual = max(
-            float(np.linalg.norm(u @ pm @ u.conj().T - qm))
-            for pm, qm in zip(p_mats, q_mats)
-        )
-        if residual <= 1e-6 and np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-8:
-            return u
-    if not saw_nondegenerate:
-        raise EquivalenceInconclusive(
-            f"all {attempts} random combinations had degenerate spectra"
-        )
-    return None
-
-
-def _match_phases(p_mats, q_mats, vp, vq):
-    """Phase vector aiming for ``vq diag(e^{i theta}) vp^dagger`` to conjugate P to Q.
-
-    Works on the element matrices rotated into the matched eigenbases: the
-    conjugation holds iff Q~[k,l] = e^{i(theta_k - theta_l)} P~[k,l], which is
-    solved by a BFS over the graph of significantly nonzero entries. Indices
-    in disconnected components get phase 0 (no element couples them, so any
-    choice is as good; the caller verifies the candidate anyway).
-    """
-    d = vp.shape[0]
-    best = np.zeros((d, d))
-    delta = np.zeros((d, d))
-    for pm, qm in zip(p_mats, q_mats):
-        pt = vp.conj().T @ pm @ vp
-        qt = vq.conj().T @ qm @ vq
-        weight = np.minimum(np.abs(pt), np.abs(qt))
-        mask = weight > best
-        if mask.any():
-            ratio = np.zeros_like(pt)
-            nz = np.abs(pt) > 0
-            ratio[nz] = qt[nz] / pt[nz]
-            delta[mask] = np.angle(ratio[mask])
-            best[mask] = weight[mask]
-    significant = best > 1e-8 * max(best.max(), 1e-300)
-    theta = np.full(d, np.nan)
-    for root in range(d):
-        if not np.isnan(theta[root]):
-            continue
-        theta[root] = 0.0
-        queue = [root]
-        while queue:
-            k = queue.pop()
-            for l in range(d):
-                if significant[k, l] and np.isnan(theta[l]):
-                    # theta_k - theta_l = angle(Q~[k,l] / P~[k,l])
-                    theta[l] = theta[k] - delta[k, l]
-                    queue.append(l)
-    return theta

@@ -47,6 +47,7 @@ from .errors import (
     NotScalar,
     PreconditionViolated,
     SingleOutcome,
+    SingularSuperop,
     VerdictIsClean,
 )
 from .linalg import (
@@ -57,8 +58,7 @@ from .linalg import (
     orthonormal_complement,
     psd_sqrt,
     superop_matrix,
-    unvec,
-    vec,
+    superop_solve,
 )
 from .povm import Povm, rank_one_supports, validate
 
@@ -186,7 +186,9 @@ def build_witness(p: Povm, verdict: CleannessVerdict, tol: Tolerances = DEFAULT_
                     witness = witness_case_c(p, v_kets, tol)
             else:
                 witness = witness_case_d(p, v_kets, w_kets, tol)
-    except (EpsilonSearchFailed, PreconditionViolated, ClosureViolation) as exc:
+    except ConstructionFailed:
+        raise
+    except CleanPovmError as exc:
         raise ConstructionFailed(
             f"witness construction failed: {exc}", diagnostics={"error": str(exc)}
         ) from exc
@@ -246,7 +248,7 @@ def witness_case_a(p: Povm, tol: Tolerances = DEFAULT_TOL) -> Witness:
     for i, e in enumerate(p.elements):
         mu = scalar_weight(e.matrix, tol)
         if mu is None:
-            raise NotScalar(f"element {i} is not a multiple of the identity")
+            raise NotScalar(f"element {i + 1} is not a multiple of the identity")
         weights.append(mu)
 
     q_mats = []
@@ -477,18 +479,11 @@ def witness_case_c(p: Povm, v_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
         return max(drops, key=drops.get)
 
     eps_plus = _case_c_epsilon_plus(p, ov, movers)
-
-    margin = WIDENING_MARGIN
-    for _ in range(2):  # on a tolerance pathology, shrink the margin once and retry
-        eps = _case_c_bisect(min_eigs, psd_ok, drop_index, eps_plus, margin)
-        if eps is not None:
-            break
-        margin *= 0.1
+    eps = _case_c_bisect(min_eigs, psd_ok, drop_index, eps_plus, WIDENING_MARGIN)
     if eps is None:
         raise EpsilonSearchFailed("bisection found no eps with PSD images and a strict drop")
 
-    eigs = min_eigs(eps)
-    widened = drop_index(eigs, margin)
+    widened = drop_index(min_eigs(eps), WIDENING_MARGIN)
     q_mats = q_matrices(eps)
     kraus = [eps * pi_v, eps * pi_w, math.sqrt(1.0 - eps**2) * np.eye(d)]
     channel = KrausChannel.build(kraus, tol)
@@ -706,26 +701,15 @@ def _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, designated, tol):
     if channel.closure_residual() > CLOSURE_RESIDUAL_TOL:
         return f"closure residual above contract at eps={eps}", False
 
-    superop = superop_matrix(channel.kraus)
-    rhs = np.column_stack(
-        [vec(np.eye(d))] + [vec(e.matrix) for e in p.elements]
-    )
+    targets = np.stack([np.eye(d)] + [e.matrix for e in p.elements])
     try:
-        x = np.linalg.solve(superop, rhs)
-    except np.linalg.LinAlgError:
-        return f"superoperator singular at eps={eps}", False
-    if not np.all(np.isfinite(x)):
-        return f"superoperator solve non-finite at eps={eps}", False
-    residuals = np.linalg.norm(superop @ x - rhs, axis=0) / np.maximum(
-        1.0, np.linalg.norm(rhs, axis=0)
-    )
-    if residuals.max() > MAP_RESIDUAL_TOL:
-        return f"solve residual {residuals.max():.2e} at eps={eps}", False
-    if np.linalg.norm(hermitian_part(unvec(x[:, 0], d)) - np.eye(d)) > MAP_RESIDUAL_TOL:
+        solved = superop_solve(superop_matrix(channel.kraus), targets, MAP_RESIDUAL_TOL)
+    except SingularSuperop as exc:
+        return f"{exc} at eps={eps}", False
+    if np.linalg.norm(solved[0] - np.eye(d)) > MAP_RESIDUAL_TOL:
         return f"identity probe failed at eps={eps}", False
 
-    q_solve = [hermitian_part(unvec(x[:, 1 + i], d)) for i in range(p.n_outcomes)]
-
+    q_solve = solved[1:]
     q_mats = list(q_solve)
     c_designated = None
     for i, s_ in rank_one_idx.items():

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from cleanpovm import witness
 from cleanpovm.cli import main
-from cleanpovm.fileio import load_json, save_povm
+from cleanpovm.errors import ZeroElement
+from cleanpovm.fileio import load_json, matrix_to_json, save_json, save_povm
 from cleanpovm.povm import random_split_povm, validate
 
 
@@ -65,7 +67,30 @@ class TestCheck:
         save_povm(path, p)
         rc = main(["check", "--input", str(path)])
         assert rc == 1
-        assert "rank" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "input error: elements [1] have rank outside {1, 3}"
+        )
+
+    def test_not_psd_message_numbers_elements_from_one(self, tmp_path, capsys):
+        path = tmp_path / "neg.json"
+        elements = [np.diag([-0.5, 0.5]), np.diag([1.5, 0.5])]
+        save_json(path, {"dim": 2, "elements": [matrix_to_json(e) for e in elements]})
+        assert main(["check", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == "input error: element 1: minimum eigenvalue -5.000e-01\n"
+
+    def test_construction_breakdown_is_an_internal_failure(
+        self, qb_file, tmp_path, capsys, monkeypatch
+    ):
+        def breaks(*args, **kwargs):
+            raise ZeroElement("element 3 is numerically zero", index=2)
+
+        monkeypatch.setattr(witness, "witness_case_b", breaks)
+        out = tmp_path / "w.json"
+        assert main(["check", "--input", str(qb_file), "--witness-out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "internal failure: witness construction failed: element 3 is numerically zero\n"
+        )
+        assert not out.exists()
 
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "junk.json"

@@ -121,3 +121,22 @@ class TestWitnessBundleFormat:
         assert not report.q_valid and not report.passed
         with pytest.raises(NotPsd):
             povm_from_json(obj["povm_q"])  # a POVM file still gets the axiom checks
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("widened_index", "x"),
+            ("widened_index", None),
+            ("widened_index", 1.7),
+            ("widened_index", True),
+            ("epsilon", "abc"),
+            ("epsilon", None),
+            ("channel", {"dim": 2, "kraus": 5}),
+        ],
+    )
+    def test_rejects_malformed_field(self, key, value):
+        p = qb_not_clean()
+        obj = witness_bundle_to_json(p, build_witness(p, decide_clean(p)))
+        obj[key] = value
+        with pytest.raises(FileFormatError):
+            witness_bundle_from_json(obj)

@@ -117,3 +117,11 @@ def test_reference_run_counts(tmp_path, capsys):
     ) in lines
     assert "witness cases: {'a': 55, 'b': 224, 'c': 323, 'd': 138}" in lines
     assert "violations: 0" in lines
+
+
+def test_tolerance_override_run_has_no_violations(tmp_path, capsys):
+    """Under ``--tol`` the conjugated copy keeps the ranks of the POVM as drawn."""
+    rc = main(["fuzz", "--dim", "3", "--count", "100", "--seed", "1", "--tol", "1e-2",
+               "--repro-dir", str(tmp_path)])
+    assert "violations: 0" in capsys.readouterr().out.splitlines()
+    assert rc == 0

@@ -237,6 +237,18 @@ class TestSuperopSolve:
             image = sum(k.conj().T @ a @ k for k in ch.kraus)
             assert np.linalg.norm(image - x) <= 1e-8 * max(1, np.linalg.norm(x))
 
+    def test_stacked_targets_equal_single_solves(self):
+        from cleanpovm.channel import near_identity_channel
+
+        rng = np.random.default_rng(16)
+        for d in (2, 3, 4, 8):
+            s = superop_matrix(near_identity_channel(d, 0.1, rng).kraus)
+            targets = np.stack([random_hermitian(d, rng) for _ in range(5)])
+            stacked = superop_solve(s, targets)
+            assert stacked.shape == targets.shape
+            for a, x in zip(stacked, targets):
+                assert np.array_equal(a, superop_solve(s, x))
+
 
 class TestOrthonormalHelpers:
     def test_complement_dimensions(self):

@@ -6,7 +6,6 @@ import pytest
 from cleanpovm.errors import (
     ClosureViolation,
     DimensionMismatch,
-    EquivalenceInconclusive,
     InfeasibleRequest,
     NonHermitianInput,
     NotPsd,
@@ -23,7 +22,6 @@ from cleanpovm.povm import (
     random_povm,
     random_split_povm,
     rank_one_supports,
-    unitary_equivalence_check,
     validate,
 )
 
@@ -92,7 +90,7 @@ class TestStackedValidate:
         with pytest.raises(NotPsd) as info:
             validate([diag(0.5, 0.5), diag(-0.1, 0.5), skew])
         assert info.value.index == 1
-        with pytest.raises(NonHermitianInput, match="element 1:"):
+        with pytest.raises(NonHermitianInput, match="element 2:"):
             validate([diag(0.5, 0.5), skew, diag(-0.1, 0.5)])
 
     def test_zero_before_not_psd(self):
@@ -103,7 +101,7 @@ class TestStackedValidate:
     def test_hermiticity_then_psd_within_an_element(self):
         both = diag(-0.5, 0.5)
         both[0, 1] = 0.1
-        with pytest.raises(NonHermitianInput, match="element 1:"):
+        with pytest.raises(NonHermitianInput, match="element 2:"):
             validate([diag(0.5, 0.5), both])
         with pytest.raises(NotPsd) as info:
             validate([diag(0.5, 0.5), diag(-0.5, 0.0)])  # not PSD and not zero
@@ -284,46 +282,3 @@ class TestRandomSplitPovm:
         with pytest.raises(InfeasibleRequest):
             random_split_povm(3, 1, 1, 1, 0, oblique=True, block_diagonal=True)
 
-
-class TestUnitaryEquivalence:
-    def test_self_equivalence(self):
-        p = validate([0.25 * np.outer(E1, E1), 0.25 * np.outer(E2, E2), diag(0.75, 0.75)])
-        u = unitary_equivalence_check(p, p)
-        assert u is not None
-        assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-8
-
-    def test_conjugated_copy(self):
-        rng = np.random.default_rng(11)
-        p = random_povm("strict-quasi-qubit", 3, 4, rng)
-        u0 = haar_unitary(3, rng)
-        q = validate([u0 @ e.matrix @ u0.conj().T for e in p.elements])
-        u = unitary_equivalence_check(p, q)
-        assert u is not None
-        residual = max(
-            np.linalg.norm(u @ a.matrix @ u.conj().T - b.matrix)
-            for a, b in zip(p.elements, q.elements)
-        )
-        assert residual <= 1e-6
-
-    def test_observable_vs_plus_minus(self):
-        minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
-        obs = validate([diag(1, 0), diag(0, 1)])
-        pm = validate([np.outer(PLUS, PLUS.conj()), np.outer(minus, minus.conj())])
-        u = unitary_equivalence_check(obs, pm)
-        assert u is not None
-        residual = max(
-            np.linalg.norm(u @ a.matrix @ u.conj().T - b.matrix)
-            for a, b in zip(obs.elements, pm.elements)
-        )
-        assert residual <= 1e-6
-
-    def test_scalar_pair_is_inconclusive(self):
-        p = validate([0.3 * np.eye(2), 0.7 * np.eye(2)])
-        q = validate([0.4 * np.eye(2), 0.6 * np.eye(2)])
-        with pytest.raises(EquivalenceInconclusive):
-            unitary_equivalence_check(p, q)
-
-    def test_distinct_spectra_returns_none(self):
-        p = validate([diag(0.2, 0.3), diag(0.8, 0.7)])
-        q = validate([diag(0.25, 0.35), diag(0.75, 0.65)])
-        assert unitary_equivalence_check(p, q) is None
