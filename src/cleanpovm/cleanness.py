@@ -10,7 +10,8 @@ its own line is a multiple of the identity ("totally determined").
 Two independent routes to that support condition live here:
 
 * :func:`decide_clean` — partition refinement over a support basis, merging
-  coordinate blocks touched by each remaining support (union-find);
+  the basis positions whose span holds each remaining support (spans from
+  :func:`~cleanpovm.linalg.support_frame`);
 * :func:`totally_determined_nullspace` — the dimension of the space of
   operators R with R psi_i colinear to psi_i for every support, computed as
   a nullspace of an n(d-1) x d^2 system. For spanning support families the
@@ -32,46 +33,11 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_ket,
-    coords_in_basis,
-    greedy_basis_subset,
     orthonormal_columns,
     orthonormal_complement,
+    support_frame,
 )
 from .povm import Povm, PovmClass, classify, rank_one_supports
-
-
-class _UnionFind:
-    """Array union-find with path compression and size tracking."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-        self.max_size = 1 if size else 0
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.max_size = max(self.max_size, self.size[ra])
-        return ra
-
-    def groups(self) -> list[tuple[int, ...]]:
-        members: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            members.setdefault(self.find(x), []).append(x)
-        return sorted(tuple(sorted(g)) for g in members.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,26 +134,17 @@ def decide_clean(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> CleannessVerdict:
         return _decide_full_rank(povm, tol)
 
     kets = [s.ket for s in supports]
-    selected = greedy_basis_subset(kets, tol)
-    if len(selected) < d:
-        return _supports_do_not_span(povm, supports, selected, tol)
+    frame = support_frame(kets, tol)
+    if len(frame.selected) < d:
+        return _supports_do_not_span(povm, supports, frame)
 
-    basis = np.column_stack([kets[j] for j in selected])
-    element_of_position = [supports[j].index for j in selected]
-    uf = _UnionFind(d)
-    selected_set = set(selected)
-    for j, ket in enumerate(kets):
-        if j in selected_set:
-            continue
-        coeffs = coords_in_basis(ket, basis, tol)
-        touched = [pos for pos in range(d) if coeffs[pos] != 0]
-        for pos in touched[1:]:
-            uf.union(touched[0], pos)
-        if uf.max_size == d:
-            partition = _partition(basis, uf.groups(), element_of_position)
-            return CleannessVerdict(True, VerdictReason.TOTALLY_DETERMINED, partition, None)
-
-    blocks = uf.groups()
+    basis = np.column_stack([kets[j] for j in frame.selected])
+    element_of_position = [supports[j].index for j in frame.selected]
+    merged: list[set[int]] = []  # a selected ket's span is its own position
+    for span in map(set, frame.spans):
+        touching = [b for b in merged if b & span]
+        merged = [b for b in merged if not b & span] + [span.union(*touching)]
+    blocks = sorted(tuple(sorted(b)) for b in merged)
     partition = _partition(basis, blocks, element_of_position)
     if len(blocks) == 1:
         return CleannessVerdict(True, VerdictReason.TOTALLY_DETERMINED, partition, None)
@@ -217,13 +174,13 @@ def _decide_full_rank(povm: Povm, tol: Tolerances) -> CleannessVerdict:
     return CleannessVerdict(False, VerdictReason.PARTITION_SPLIT, partition, blocks)
 
 
-def _supports_do_not_span(povm, supports, selected, tol) -> CleannessVerdict:
+def _supports_do_not_span(povm, supports, frame) -> CleannessVerdict:
     d = povm.dim
-    chosen = [supports[j].ket for j in selected]
-    completion = orthonormal_complement(orthonormal_columns(chosen, tol))
-    basis = np.column_stack(chosen + [completion]) if completion.size else np.column_stack(chosen)
-    element_indices = [supports[j].index for j in selected] + [None] * completion.shape[1]
-    r = len(selected)
+    chosen = [supports[j].ket for j in frame.selected]
+    completion = orthonormal_complement(frame.q)
+    basis = np.column_stack(chosen + [completion])
+    r = len(frame.selected)
+    element_indices = [supports[j].index for j in frame.selected] + [None] * (d - r)
     blocks = (tuple(range(r)), tuple(range(r, d)))
     partition = _partition(basis, blocks, element_indices)
     return CleannessVerdict(False, VerdictReason.SUPPORTS_DO_NOT_SPAN, partition, blocks)
@@ -309,8 +266,8 @@ def is_projective_frame(vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT
     """True iff the d+1 vectors are in general position (every d of them a basis).
 
     Computed by two routes that must agree: rank of every leave-one-out
-    subset, and independence of the first d plus all-nonzero coordinates of
-    the last one in that basis.
+    subset, and the support frame: the first d are its basis and the span
+    of the last one needs all d of them.
     """
     kets = [as_ket(v) for v in vectors]
     if not kets:
@@ -327,10 +284,8 @@ def is_projective_frame(vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT
 
     by_subsets = all(full_rank([k for j, k in enumerate(kets) if j != leave]) for leave in range(d + 1))
 
-    by_coords = False
-    if full_rank(kets[:d]):
-        coeffs = coords_in_basis(kets[d], np.column_stack(kets[:d]), tol)
-        by_coords = bool(np.all(coeffs != 0))
+    frame = support_frame(kets, tol)
+    by_coords = frame.selected == tuple(range(d)) and len(frame.spans[d]) == d
 
     assert by_subsets == by_coords, "projective-frame routes disagree"
     return by_subsets

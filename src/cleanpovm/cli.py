@@ -32,10 +32,22 @@ EXIT_NOT_CLEAN = 3
 _RANDOM_KINDS = ("rank-one", "full-rank", "strict-quasi-qubit", "scalar")
 
 
+def _check_ranges(args) -> None:
+    """Numeric arguments out of range are input errors."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0 <= tol < float("inf"):
+        raise InfeasibleRequest(f"--tol must be finite and nonnegative, got {tol}")
+    if getattr(args, "dim", 2) < 2:
+        raise InfeasibleRequest(f"--dim must be at least 2, got {args.dim}")
+    for name in ("seed", "count"):
+        if getattr(args, name, 0) < 0:
+            raise InfeasibleRequest(f"--{name} must be nonnegative, got {getattr(args, name)}")
+
+
 def _tolerances(args) -> Tolerances:
     if getattr(args, "tol", None) is None:
         return DEFAULT_TOL
-    # --tol overrides the relative rank/zero decision tolerances only.
+    # --tol overrides the rank/zero decision tolerances only.
     return Tolerances(rank=args.tol, zero=args.tol)
 
 
@@ -204,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide cleanness of a POVM file")
     p_check.add_argument("--input", required=True, help="POVM JSON file")
-    p_check.add_argument("--tol", type=float, default=None, help="relative rank/zero tolerance")
+    p_check.add_argument("--tol", type=float, default=None, help="rank/zero tolerance")
     p_check.add_argument("--witness-out", default=None, help="write a witness bundle here when not clean")
     p_check.add_argument("--oracle", action="store_true", help="cross-check with the nullspace oracle")
     p_check.add_argument("--json-out", default=None)
@@ -242,6 +254,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except (fileio.FileFormatError, NotQuasiQubit, InfeasibleRequest) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -5,13 +5,17 @@ Conventions fixed here and used everywhere else in the package:
 * matrices are numpy ``complex128`` arrays;
 * operator vectorization is **row-major**: ``vec(A)[i*d + j] = A[i, j]``,
   so ``vec(X @ A @ Y) = kron(X, Y.T) @ vec(A)``;
-* every rank / zero decision is relative, scaled by the largest magnitude
-  in play, never absolute.
+* support geometry has one dependence rule, applied by :func:`support_frame`:
+  a vector lies in the span of a set iff its residual against that span is
+  at most ``tol.rank`` times its own norm. :class:`Tolerances` lists how
+  every other threshold is scaled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,19 +24,24 @@ from .errors import (
     InvalidMatrix,
     NonHermitianInput,
     NotPsd,
-    SingularBasis,
     SingularSuperop,
 )
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance bundle for all numeric decisions.
+    """Tolerance bundle for all numeric decisions, each finite and nonnegative.
 
-    ``rank`` and ``zero`` are relative thresholds (scaled by the largest
-    singular value / coefficient in play); ``herm``, ``psd`` and ``closure``
-    are relative to ``max(1, scale)`` of the operator; ``eig`` and ``orth``
-    bound reconstruction and orthonormality residuals.
+    * ``herm``: ``||A - A^dagger||_F <= herm * max(1, ||A||_F)``.
+    * ``psd``: ``lambda_min >= -psd * max(1, lambda_max)``.
+    * ``closure``: absolute, ``||sum_i P_i - 1||_F <= closure`` (and Kraus).
+    * ``rank``: an element's rank counts eigenvalues above ``rank *
+      lambda_max``; support geometry follows :func:`support_frame`; SVD rank
+      cuts (the nullspace oracle) count singular values above ``rank * s_max``.
+    * ``zero``: ``validate``'s zero gate is absolute, ``||P_i||_F <= zero``; a
+      ket lies in a subspace if its residual is at most ``zero * ||ket||``;
+      scalar and off-diagonal tests compare with ``zero * max(1, ||P_i||_F)``.
+    * ``eig`` and ``orth`` are read by no decision.
     """
 
     herm: float = 1e-9
@@ -45,8 +54,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("herm", "psd", "closure", "rank", "zero", "eig", "orth"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"tolerance {name!r} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"tolerance {name!r} must be finite and nonnegative")
 
 
 DEFAULT_TOL = Tolerances()
@@ -96,47 +105,69 @@ def eig_hermitian(matrix, tol: Tolerances = DEFAULT_TOL):
     return w, v
 
 
-def greedy_basis_subset(vectors, tol: Tolerances = DEFAULT_TOL) -> list[int]:
-    """Indices of a maximal linearly independent subset, greedy in input order.
+class SupportFrame(NamedTuple):
+    """A ket family read under the one dependence rule; see :func:`support_frame`."""
 
-    A vector is accepted iff its residual after projecting out the span of
-    the previously accepted vectors exceeds ``tol.rank`` times its own norm.
+    selected: tuple[int, ...]
+    q: np.ndarray
+    spans: tuple[tuple[int, ...], ...]
+
+
+def support_frame(kets, tol: Tolerances = DEFAULT_TOL) -> SupportFrame:
+    """Basis, orthonormal span and per-ket spans of a nonempty family of kets.
+
+    One rule makes every dependence decision: a vector lies in the span of a
+    set iff its residual against that span is at most ``tol.rank`` times its
+    own norm.
+
+    * ``selected``: a basis, greedy in input order: a ket joins unless it
+      lies in the span of those already selected (two-pass Gram-Schmidt).
+    * ``q``: orthonormal columns spanning the selected kets.
+    * ``spans[j]``: the basis positions (indices into ``selected``) whose span
+      holds ket j: its own position for a selected ket, else the shortest
+      prefix of the positions, ordered by the size ``|c_p| * ||ket_p||`` of
+      its components, whose span holds it.
     """
-    accepted: list[np.ndarray] = []
-    indices: list[int] = []
-    for i, vector in enumerate(vectors):
-        v = as_ket(vector)
-        r = v.copy()
-        for _ in range(2):  # second pass keeps the running basis orthonormal
-            for b in accepted:
-                r = r - b * (b.conj() @ r)
-        if np.linalg.norm(r) > tol.rank * np.linalg.norm(v):
-            indices.append(i)
-            accepted.append(r / np.linalg.norm(r))
-    return indices
+    k = np.asarray(kets, dtype=complex)
+    if k.ndim != 2 or not np.isfinite(k).all():
+        raise InvalidMatrix("expected a nonempty family of finite kets of one dimension")
+    n, d = k.shape
+    k = k.T  # one ket per column
+    norms = np.linalg.norm(k, axis=0)
+    selected: list[int] = []
+    q = np.zeros((d, d), dtype=complex)  # columns past len(selected) stay zero
+    proj = np.zeros((d, d), dtype=complex)  # q q^dagger
+    for j in range(n):
+        if len(selected) == d:
+            break
+        r = k[:, j]
+        for _ in range(2):  # the second pass keeps q orthonormal
+            r = r - proj @ r
+        residual = np.sqrt(np.vdot(r, r).real)
+        if residual > tol.rank * norms[j]:
+            u = r / residual
+            q[:, len(selected)] = u
+            proj += np.outer(u, u.conj())
+            selected.append(j)
+    rank = len(selected)
+    q = q[:, :rank]
 
-
-def coords_in_basis(vector, basis, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Coefficients of ``vector`` in a (full) basis of C^d.
-
-    Coefficients at or below ``tol.zero`` times the largest coefficient
-    magnitude are reported as exactly zero.
-    """
-    b = np.column_stack([as_ket(k) for k in basis]) if not isinstance(basis, np.ndarray) else np.asarray(basis, complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise DimensionMismatch(f"basis matrix must be square, got {b.shape}")
-    v = as_ket(vector, b.shape[0])
-    s = np.linalg.svd(b, compute_uv=False)
-    if s[0] == 0 or s[-1] <= tol.rank * s[0]:
-        raise SingularBasis(f"basis condition {s[0]:.3e}/{s[-1]:.3e} at rank tol {tol.rank:.1e}")
-    c = np.linalg.solve(b, v)
-    residual = float(np.linalg.norm(b @ c - v))
-    if residual > max(tol.eig * np.linalg.norm(v), 1e2 * np.finfo(float).eps):
-        raise SingularBasis(f"expansion residual {residual:.3e} too large")
-    top = np.abs(c).max()
-    if top > 0:
-        c[np.abs(c) <= tol.zero * top] = 0.0
-    return c
+    spans = {j: (pos,) for pos, j in enumerate(selected)}
+    others = [j for j in range(n) if j not in spans]
+    if others:
+        basis, rest = k[:, selected], k[:, others]
+        coords = np.linalg.solve(q.conj().T @ basis, q.conj().T @ rest)
+        order = np.argsort(-np.abs(coords) * norms[selected, None], axis=0, kind="stable")
+        # R of [reordered basis | ket] ends in the ket's coordinates along an
+        # orthonormal basis built prefix by prefix; its tail norms are the
+        # residuals against the prefixes, and they never increase.
+        stacked = np.concatenate([basis.T[order.T], rest.T[:, None]], axis=1).swapaxes(-1, -2)
+        y = np.abs(np.linalg.qr(stacked, mode="r")[..., -1]) ** 2
+        tails = np.sqrt(np.cumsum(y[:, ::-1], axis=1)[:, ::-1])
+        held = np.count_nonzero(tails[:, 1:rank] <= tol.rank * norms[others, None], axis=1)
+        for i, j in enumerate(others):
+            spans[j] = tuple(sorted(order[: rank - held[i], i].tolist()))
+    return SupportFrame(tuple(selected), q, tuple(spans[j] for j in range(n)))
 
 
 def psd_sqrt(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

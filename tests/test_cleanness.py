@@ -12,10 +12,11 @@ from cleanpovm.cleanness import (
     separating_pair,
     totally_determined_nullspace,
 )
-from cleanpovm.errors import NotQuasiQubit, SingleBlock, WrongCount
+from cleanpovm.errors import ConstructionFailed, NotQuasiQubit, SingleBlock, WrongCount
 from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import haar_unitary
-from cleanpovm.povm import random_povm, rank_one_supports, validate
+from cleanpovm.povm import random_povm, random_split_povm, rank_one_supports, validate
+from cleanpovm.witness import build_witness
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -266,3 +267,35 @@ def test_strict_with_generic_frame_is_clean():
         d = int(rng.integers(2, 5))
         p = random_povm("strict-quasi-qubit", d, d + 3, rng, n_rank_one=d + 1)
         assert decide_clean(p).clean
+
+
+def near_boundary_povm(i: int, delta: float):
+    """A planted qutrit split whose rank-one supports are moved by about delta."""
+    p = random_split_povm(3, 1, 2, 2, [3, 3, i], oblique=bool(i % 2))
+    rng = np.random.default_rng([9, i])
+    mats = [e.matrix for e in p.elements]
+    for j, e in enumerate(p.elements):
+        if e.rank == 1:
+            k = e.support + delta * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            mats[j] = e.weight * projector(k / np.linalg.norm(k))
+    first_full = next(j for j, e in enumerate(p.elements) if e.rank == 3)
+    mats[first_full] = np.eye(3) - sum(m for j, m in enumerate(mats) if j != first_full)
+    return validate(mats)
+
+
+def test_near_boundary_supports():
+    """Supports within a few tolerances of a split: a verdict every time, and
+    a witness that never contradicts the verdict's own partition."""
+    disagreements = []
+    for delta in (1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6):
+        for i in range(150):
+            p = near_boundary_povm(i, delta)
+            verdict = decide_clean(p)
+            if delta in (1e-10, 1e-9, 1e-6) and oracle_verdict(p).clean != verdict.clean:
+                disagreements.append((i, delta))
+            if not verdict.clean:
+                try:
+                    build_witness(p, verdict)
+                except ConstructionFailed as exc:
+                    assert "against both subspaces" not in str(exc), (i, delta)
+    assert disagreements == []

@@ -114,6 +114,35 @@ class TestCheck:
         assert "skipped" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("check", "--tol", "-1"),
+        ("check", "--tol", "nan"),
+        ("check", "--tol", "inf"),
+        ("verify", "--tol", "-0.5"),
+        ("fuzz", "--dim", "1"),
+        ("fuzz", "--seed", "-1"),
+        ("fuzz", "--count", "-1"),
+        ("random", "--seed", "-1"),
+        ("random", "--count", "-1"),
+    ],
+)
+def test_out_of_range_argument_is_an_input_error(qb_file, tmp_path, capsys, command, flag, value):
+    args = {
+        "check": {"--input": str(qb_file)},
+        "verify": {"--povm": str(qb_file), "--witness": str(qb_file)},
+        "fuzz": {"--dim": "2", "--count": "1", "--seed": "1", "--repro-dir": str(tmp_path)},
+        "random": {"--kind": "scalar", "--dim": "2", "--count": "1", "--seed": "1",
+                   "--out": str(tmp_path / "r")},
+    }[command] | {flag: value}
+    assert main([command] + [x for pair in args.items() for x in pair]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {flag} must be")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestVerify:
     def test_bundle_verifies(self, qb_file, tmp_path, capsys):
         bundle = tmp_path / "w.json"

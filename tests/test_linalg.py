@@ -7,15 +7,12 @@ from hypothesis import given, settings, strategies as st
 from cleanpovm.errors import (
     NonHermitianInput,
     NotPsd,
-    SingularBasis,
     SingularSuperop,
 )
 from cleanpovm.linalg import (
     DEFAULT_TOL,
     Tolerances,
-    coords_in_basis,
     eig_hermitian,
-    greedy_basis_subset,
     haar_unitary,
     hermitian_part,
     orthonormal_columns,
@@ -25,6 +22,7 @@ from cleanpovm.linalg import (
     random_psd,
     superop_matrix,
     superop_solve,
+    support_frame,
     unvec,
     vec,
 )
@@ -87,15 +85,17 @@ class TestEigHermitian:
 
 
 class TestGreedyBasisSubset:
+    """The greedy basis that ``support_frame`` selects."""
+
     def test_dependent_third(self):
-        assert greedy_basis_subset([E1, E2, E1 + E2]) == [0, 1]
+        assert support_frame([E1, E2, E1 + E2]).selected == (0, 1)
 
     def test_colinear_pair(self):
-        assert greedy_basis_subset([E1, 2 * E1]) == [0]
+        assert support_frame([E1, 2 * E1]).selected == (0,)
 
     def test_exact_dependence(self):
         # residual of e1 against span{e1+e2, e1-e2} is exactly zero
-        assert greedy_basis_subset([E1 + E2, E1 - E2, E1]) == [0, 1]
+        assert support_frame([E1 + E2, E1 - E2, E1]).selected == (0, 1)
 
     def test_invariant_under_appending_spanned_vectors(self):
         rng = np.random.default_rng(42)
@@ -103,33 +103,57 @@ class TestGreedyBasisSubset:
             d = int(rng.integers(2, 6))
             k = int(rng.integers(1, d + 1))
             vs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(k)]
-            base = greedy_basis_subset(vs)
+            base = support_frame(vs).selected
             span = [vs[i] for i in base]
             extra = sum(rng.standard_normal() * s for s in span)
-            assert greedy_basis_subset(vs + [extra]) == base
+            assert support_frame(vs + [extra]).selected == base
 
 
 class TestCoordsInBasis:
+    """The basis positions whose span ``support_frame`` finds for a ket."""
+
     def test_standard_basis(self):
-        c = coords_in_basis(E1, np.column_stack([E1, E2]))
-        assert np.allclose(c, [1, 0])
+        assert support_frame([E1, E2, E1]).spans == ((0,), (1,), (0,))
 
     def test_sum_vector(self):
-        c = coords_in_basis(E1 + E2, np.column_stack([E1, E2]))
-        assert np.allclose(c, [1, 1])
+        assert support_frame([E1, E2, E1 + E2]).spans[2] == (0, 1)
 
     def test_hand_solved_system(self):
-        # e1 = 0.5 (e1+e2) + 0.5 (e1-e2)
-        c = coords_in_basis(E1, np.column_stack([E1 + E2, E1 - E2]))
-        assert np.allclose(c, [0.5, 0.5], atol=1e-14)
+        # e1 = 0.5 (e1+e2) + 0.5 (e1-e2) needs both positions
+        assert support_frame([E1 + E2, E1 - E2, E1]).spans[2] == (0, 1)
 
     def test_small_coefficients_reported_zero(self):
-        c = coords_in_basis(E1 + 1e-12 * E2, np.column_stack([E1, E2]))
-        assert c[1] == 0.0
+        assert support_frame([E1, E2, E1 + 1e-12 * E2]).spans[2] == (0,)
 
-    def test_singular_basis(self):
-        with pytest.raises(SingularBasis):
-            coords_in_basis(E1, np.column_stack([E1, E1]))
+
+class TestSupportFrame:
+    def test_q_is_orthonormal_basis_of_the_selection(self):
+        rng = np.random.default_rng(7)
+        kets = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(2)]
+        frame = support_frame(kets + [kets[0] - 2j * kets[1]])
+        assert frame.q.shape == (4, 2)
+        assert np.linalg.norm(frame.q.conj().T @ frame.q - np.eye(2)) <= 1e-12
+        for ket in kets:
+            assert np.linalg.norm(ket - frame.q @ (frame.q.conj().T @ ket)) <= 1e-12
+        assert frame.spans[2] == (0, 1)
+
+    def test_every_ket_lies_within_tolerance_of_its_span(self):
+        rng = np.random.default_rng(11)
+        for delta in (1e-10, 1e-9, 3e-9, 1e-8, 3e-8):
+            for _ in range(40):
+                d = int(rng.integers(2, 6))
+                basis = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(d)]
+                kets = basis + [
+                    basis[0] + basis[1] + delta * rng.standard_normal(d),
+                    basis[-1] + delta * (rng.standard_normal(d) + 1j * rng.standard_normal(d)),
+                ]
+                frame = support_frame(kets)
+                assert frame.selected == tuple(range(d))
+                for ket, span in zip(kets, frame.spans):
+                    cols = np.column_stack([kets[p] for p in span])
+                    q, _ = np.linalg.qr(cols)
+                    residual = np.linalg.norm(ket - q @ (q.conj().T @ ket))
+                    assert residual <= DEFAULT_TOL.rank * np.linalg.norm(ket)
 
 
 class TestPsdSqrt:
@@ -270,6 +294,9 @@ def test_tolerances_defaults():
     assert (t.eig, t.orth) == (1e-10, 1e-10)
     with pytest.raises(ValueError):
         Tolerances(rank=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Tolerances(zero=bad)
     assert DEFAULT_TOL == Tolerances()
 
 
