@@ -2,9 +2,14 @@
 
 Complex entries are stored as two-element arrays ``[re, im]`` of decimal
 floats (locale-proof, and round-tripped bit-exactly by the shortest-repr
-float encoding). Element indices in files are 1-based. Serialization is
-canonical: sorted keys, two-space indent, trailing newline, so
-``serialize(parse(serialize(x))) == serialize(x)`` byte for byte.
+float encoding). Element indices in files are 1-based. In-memory trees
+(``povm_to_json``, ``witness_bundle_to_json``) hold matrices as numpy
+arrays; :func:`dumps_canonical` is the one place a matrix becomes text, and
+its output equals ``json.dumps(tree, indent=2, sort_keys=True)`` plus a
+newline, with each array written as its rows of ``[re, im]`` pairs.
+Serialization is canonical (sorted keys, two-space indent, trailing
+newline), so ``serialize(parse(serialize(x))) == serialize(x)`` byte for
+byte.
 """
 
 from __future__ import annotations
@@ -25,20 +30,13 @@ class FileFormatError(CleanPovmError):
     """Input file does not conform to the documented schema."""
 
 
-def matrix_to_json(matrix) -> list:
-    a = np.asarray(matrix, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-
-
 def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{context}: expected a nonempty list of rows")
     try:
-        a = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
+        # unpacking admits exactly two items; complex() rejects non-numbers
+        a = np.array([[complex(x, y) for x, y in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{context}: entries must be [re, im] pairs: {exc}") from exc
     if a.ndim != 2:
         raise FileFormatError(f"{context}: rows have inconsistent lengths")
@@ -50,7 +48,7 @@ def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:
 def povm_to_json(povm: Povm) -> dict:
     out = {
         "dim": povm.dim,
-        "elements": [matrix_to_json(e.matrix) for e in povm.elements],
+        "elements": [e.matrix for e in povm.elements],
     }
     if povm.labels is not None:
         out["labels"] = list(povm.labels)
@@ -88,7 +86,7 @@ def witness_bundle_to_json(target: Povm, witness: Witness) -> dict:
         "povm_q": povm_to_json(witness.q),
         "channel": {
             "dim": witness.channel.dim,
-            "kraus": [matrix_to_json(k) for k in witness.channel.kraus],
+            "kraus": list(witness.channel.kraus),
         },
         "case": witness.case_tag,
         "epsilon": float(witness.epsilon),
@@ -140,8 +138,58 @@ def witness_bundle_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, 
     return target, witness
 
 
+def _block(items: list[str], level: int, brackets: str = "[]") -> str:
+    """A non-empty JSON container at nesting ``level`` holding rendered ``items``."""
+    inner = "\n" + "  " * (level + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * level}{brackets[1]}"
+
+
+def _render_matrix(matrix: np.ndarray, level: int) -> str:
+    a = np.ascontiguousarray(matrix, dtype=complex)
+    if a.ndim != 2:
+        raise TypeError(f"only 2-D arrays are serializable, got shape {a.shape}")
+    if a.size == 0:
+        return _render([[]] * a.shape[0], level)
+    rows, cols = a.shape
+    # one format string for the whole matrix, filled in row-major order
+    # with re, im interleaved: the float64 view of the complex array
+    values = a.view(float).ravel()
+    if np.isfinite(values).all():
+        slot, args = "%r", values.tolist()
+    else:
+        slot, args = "%s", [json.dumps(v) for v in values.tolist()]
+    pair = _block([slot, slot], level + 2)
+    row = _block([pair] * cols, level + 1)
+    return _block([row] * rows, level) % tuple(args)
+
+
+def _key(k) -> str:
+    # json writes a non-str key (number, bool, None) as its JSON text, quoted
+    return json.dumps(k if isinstance(k, str) else json.dumps(k))
+
+
+def _render(obj, level: int) -> str:
+    if isinstance(obj, np.ndarray):
+        return _render_matrix(obj, level)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_key(k)}: {_render(v, level + 1)}" for k, v in sorted(obj.items())]
+        return _block(items, level, "{}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return _block([_render(v, level + 1) for v in obj], level)
+    return json.dumps(obj)
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, 2-D arrays as pair rows.
+
+    Scalars and keys go through ``json.dumps`` (its C encoder); each matrix
+    is written by one ``%`` format of all its floats.
+    """
+    return _render(obj, 0) + "\n"
 
 
 def save_json(path, obj) -> None:

@@ -41,7 +41,6 @@ class Tolerances:
     * ``zero``: ``validate``'s zero gate is absolute, ``||P_i||_F <= zero``; a
       ket lies in a subspace if its residual is at most ``zero * ||ket||``;
       scalar and off-diagonal tests compare with ``zero * max(1, ||P_i||_F)``.
-    * ``eig`` and ``orth`` are read by no decision.
     """
 
     herm: float = 1e-9
@@ -49,11 +48,9 @@ class Tolerances:
     closure: float = 1e-9
     rank: float = 1e-8
     zero: float = 1e-8
-    eig: float = 1e-10
-    orth: float = 1e-10
 
     def __post_init__(self):
-        for name in ("herm", "psd", "closure", "rank", "zero", "eig", "orth"):
+        for name in ("herm", "psd", "closure", "rank", "zero"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"tolerance {name!r} must be finite and nonnegative")
 

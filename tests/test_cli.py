@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, file outputs, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from cleanpovm import witness
 from cleanpovm.cli import main
 from cleanpovm.errors import ZeroElement
-from cleanpovm.fileio import load_json, matrix_to_json, save_json, save_povm
+from cleanpovm.fileio import load_json, save_json, save_povm
 from cleanpovm.povm import random_split_povm, validate
 
 
@@ -74,7 +75,7 @@ class TestCheck:
     def test_not_psd_message_numbers_elements_from_one(self, tmp_path, capsys):
         path = tmp_path / "neg.json"
         elements = [np.diag([-0.5, 0.5]), np.diag([1.5, 0.5])]
-        save_json(path, {"dim": 2, "elements": [matrix_to_json(e) for e in elements]})
+        save_json(path, {"dim": 2, "elements": elements})
         assert main(["check", "--input", str(path)]) == 1
         assert capsys.readouterr().err == "input error: element 1: minimum eigenvalue -5.000e-01\n"
 
@@ -141,6 +142,37 @@ def test_out_of_range_argument_is_an_input_error(qb_file, tmp_path, capsys, comm
     assert captured.err.startswith(f"input error: {flag} must be")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ['{"re": 1, "im": 0}', "[1" + "0" * 400 + ", 0]", "[1, 0, 7]"],
+    ids=["object", "beyond-float-range", "three-numbers"],
+)
+def test_malformed_matrix_entry_is_an_input_error(tmp_path, capsys, entry):
+    # {diag(1, 0), diag(0, 1)} with the (1, 1) entry of element 1 replaced
+    first = f"[[{entry}, [0, 0]], [[0, 0], [0, 0]]]"
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"dim": 2, "elements": [{first}, [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}}')
+    assert main(["check", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: element 1: entries must be [re, im] pairs")
+    assert "Traceback" not in captured.err
+
+
+def test_golden_bytes(tmp_path, monkeypatch, capsys):
+    """check and verify write the committed bundle and reports byte for byte."""
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "povm.json").write_bytes((data / "golden-d3-povm.json").read_bytes())
+    assert main(["check", "--input", "povm.json", "--oracle", "--witness-out", "bundle.json",
+                 "--json-out", "check-report.json"]) == 3
+    assert main(["verify", "--povm", "povm.json", "--witness", "bundle.json",
+                 "--json-out", "verify-report.json"]) == 0
+    for name in ("bundle", "check-report", "verify-report"):
+        assert (tmp_path / f"{name}.json").read_bytes() == (
+            data / f"golden-d3-{name}.json"
+        ).read_bytes(), name
 
 
 class TestVerify:

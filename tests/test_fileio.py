@@ -1,7 +1,11 @@
 """Round-trip and schema tests for the JSON file formats."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cleanpovm.cleanness import decide_clean
 from cleanpovm.errors import NotPsd
@@ -34,7 +38,7 @@ class TestPovmFormat:
         rng = np.random.default_rng(3)
         for _ in range(10):
             p = random_povm("strict-quasi-qubit", 3, 4, rng)
-            back = povm_from_json(povm_to_json(p))
+            back = povm_from_json(json.loads(dumps_canonical(povm_to_json(p))))
             for a, b in zip(p.elements, back.elements):
                 assert np.array_equal(a.matrix, b.matrix)
 
@@ -48,7 +52,7 @@ class TestPovmFormat:
 
     def test_labels_survive(self):
         p = validate([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)], labels=["H", "V"])
-        assert povm_from_json(povm_to_json(p)).labels == ("H", "V")
+        assert povm_from_json(json.loads(dumps_canonical(povm_to_json(p)))).labels == ("H", "V")
 
     def test_rejects_bad_schema(self):
         with pytest.raises(FileFormatError):
@@ -57,11 +61,12 @@ class TestPovmFormat:
             povm_from_json({"dim": 2, "elements": []})
         with pytest.raises(FileFormatError):
             povm_from_json({"dim": 2, "elements": [[[1.0, 0.0]]]})
+        element = json.loads(dumps_canonical(povm_to_json(qb_not_clean())))["elements"][0]
         with pytest.raises(FileFormatError):
-            povm_from_json({"dim": 3, "elements": [povm_to_json(qb_not_clean())["elements"][0]]})
+            povm_from_json({"dim": 3, "elements": [element]})
 
     def test_rejects_non_finite(self):
-        obj = povm_to_json(qb_not_clean())
+        obj = json.loads(dumps_canonical(povm_to_json(qb_not_clean())))
         obj["elements"][0][0][0][0] = float("nan")
         with pytest.raises(FileFormatError):
             povm_from_json(obj)
@@ -96,7 +101,7 @@ class TestWitnessBundleFormat:
     def test_rejects_missing_keys_and_bad_tags(self):
         p = qb_not_clean()
         w = build_witness(p, decide_clean(p))
-        obj = witness_bundle_to_json(p, w)
+        obj = json.loads(dumps_canonical(witness_bundle_to_json(p, w)))
         incomplete = {k: v for k, v in obj.items() if k != "channel"}
         with pytest.raises(FileFormatError):
             witness_bundle_from_json(incomplete)
@@ -112,7 +117,7 @@ class TestWitnessBundleFormat:
     def test_invalid_q_parses_and_fails_check_i(self):
         p = qb_not_clean()
         w = build_witness(p, decide_clean(p))
-        obj = witness_bundle_to_json(p, w)
+        obj = json.loads(dumps_canonical(witness_bundle_to_json(p, w)))
         obj["povm_q"]["elements"][0] = [[[-2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         target, loaded = witness_bundle_from_json(obj)
         assert np.array_equal(loaded.q.elements[0].matrix, np.diag([-2.0, 0.0]))
@@ -136,7 +141,41 @@ class TestWitnessBundleFormat:
     )
     def test_rejects_malformed_field(self, key, value):
         p = qb_not_clean()
-        obj = witness_bundle_to_json(p, build_witness(p, decide_clean(p)))
+        obj = json.loads(dumps_canonical(witness_bundle_to_json(p, build_witness(p, decide_clean(p)))))
         obj[key] = value
         with pytest.raises(FileFormatError):
             witness_bundle_from_json(obj)
+
+
+_SPECIAL_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, float("nan"), float("inf"), float("-inf")]
+_floats = st.sampled_from(_SPECIAL_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+_complex_arrays = st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
+    lambda shape: hnp.arrays(float, shape + (2,), elements=_floats)
+).map(lambda pairs: pairs.view(complex)[..., 0])
+_scalars = st.text() | st.integers() | _floats | st.booleans() | st.none()
+_trees = st.recursive(
+    _scalars | _complex_arrays,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+def _arrays_as_pair_lists(tree):
+    if isinstance(tree, np.ndarray):
+        return [[[z.real, z.imag] for z in row] for row in tree.tolist()]
+    if isinstance(tree, dict):
+        return {k: _arrays_as_pair_lists(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_arrays_as_pair_lists(v) for v in tree]
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+def test_dumps_canonical_equals_json_dumps(tree):
+    reference = json.dumps(_arrays_as_pair_lists(tree), indent=2, sort_keys=True) + "\n"
+    assert dumps_canonical(tree) == reference

@@ -291,7 +291,6 @@ def test_tolerances_defaults():
     t = Tolerances()
     assert (t.herm, t.psd, t.closure) == (1e-9, 1e-9, 1e-9)
     assert (t.rank, t.zero) == (1e-8, 1e-8)
-    assert (t.eig, t.orth) == (1e-10, 1e-10)
     with pytest.raises(ValueError):
         Tolerances(rank=-1.0)
     for bad in (float("nan"), float("inf")):
