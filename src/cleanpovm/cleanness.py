@@ -33,6 +33,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_ket,
+    in_span,
     orthonormal_columns,
     orthonormal_complement,
     support_frame,
@@ -195,7 +196,8 @@ def separating_pair(
 
     V is spanned by the first block's basis columns, W by all the others.
     When the rank-one support kets are supplied, each is asserted to lie in
-    V or in W. Returns (V, W) as matrices of basis columns.
+    V or in W under :func:`~cleanpovm.linalg.in_span`'s rule. Returns (V, W)
+    as matrices of basis columns.
     """
     if len(partition.blocks) < 2:
         raise SingleBlock("partition has a single block; no separating pair")
@@ -204,16 +206,11 @@ def separating_pair(
     v = partition.basis_kets[:, list(first)]
     w = partition.basis_kets[:, sorted(rest)]
     if supports is not None:
-        ov = orthonormal_columns(v, tol)
-        ow = orthonormal_columns(w, tol)
-        for ket in supports:
-            k = as_ket(ket, partition.dim)
-            res_v = np.linalg.norm(k - ov @ (ov.conj().T @ k))
-            res_w = np.linalg.norm(k - ow @ (ow.conj().T @ k))
-            if min(res_v, res_w) > tol.zero * np.linalg.norm(k):
-                raise SingleBlock(
-                    f"support residual {min(res_v, res_w):.3e} against both subspaces"
-                )
+        kets = np.array([as_ket(ket, partition.dim) for ket in supports]).reshape(-1, partition.dim)
+        held = in_span(kets, orthonormal_columns(v, tol), tol)
+        held |= in_span(kets, orthonormal_columns(w, tol), tol)
+        if not held.all():
+            raise SingleBlock(f"support {int(np.argmin(held)) + 1} lies in neither subspace")
     return v, w
 
 

@@ -33,13 +33,13 @@ class FileFormatError(CleanPovmError):
 def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{context}: expected a nonempty list of rows")
+    if len({len(row) for row in rows if isinstance(row, list)}) > 1:
+        raise FileFormatError(f"{context}: rows have inconsistent lengths")
     try:
         # unpacking admits exactly two items; complex() rejects non-numbers
         a = np.array([[complex(x, y) for x, y in row] for row in rows], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{context}: entries must be [re, im] pairs: {exc}") from exc
-    if a.ndim != 2:
-        raise FileFormatError(f"{context}: rows have inconsistent lengths")
     if not np.all(np.isfinite(a)):
         raise FileFormatError(f"{context}: non-finite entries")
     return a

@@ -13,7 +13,6 @@ Any failure is recorded with the offending POVM serialized for replay.
 from __future__ import annotations
 
 import time
-import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -171,8 +170,8 @@ def run_fuzz(dim: int, count: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> 
             summary.verdict_counts[verdict.reason.value] += 1
             if case_tag is not None:
                 summary.case_counts[case_tag] += 1
-        except Exception:
-            problems = [f"unexpected error:\n{traceback.format_exc()}"]
+        except Exception as exc:
+            problems = [f"unexpected error: {type(exc).__name__}: {exc}"]
         for message in problems:
             summary.violations.append(
                 FuzzViolation(index, scenario, message, povm_to_json(povm))

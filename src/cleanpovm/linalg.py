@@ -36,10 +36,10 @@ class Tolerances:
     * ``psd``: ``lambda_min >= -psd * max(1, lambda_max)``.
     * ``closure``: absolute, ``||sum_i P_i - 1||_F <= closure`` (and Kraus).
     * ``rank``: an element's rank counts eigenvalues above ``rank *
-      lambda_max``; support geometry follows :func:`support_frame`; SVD rank
+      lambda_max``; support geometry follows :func:`support_frame`, and every
+      ket membership test (:func:`in_span`) applies the same rule; SVD rank
       cuts (the nullspace oracle) count singular values above ``rank * s_max``.
-    * ``zero``: ``validate``'s zero gate is absolute, ``||P_i||_F <= zero``; a
-      ket lies in a subspace if its residual is at most ``zero * ||ket||``;
+    * ``zero``: ``validate``'s zero gate is absolute, ``||P_i||_F <= zero``;
       scalar and off-diagonal tests compare with ``zero * max(1, ||P_i||_F)``.
     """
 
@@ -165,6 +165,18 @@ def support_frame(kets, tol: Tolerances = DEFAULT_TOL) -> SupportFrame:
         for i, j in enumerate(others):
             spans[j] = tuple(sorted(order[: rank - held[i], i].tolist()))
     return SupportFrame(tuple(selected), q, tuple(spans[j] for j in range(n)))
+
+
+def in_span(kets, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Whether each ket lies in the span of the orthonormal columns of ``basis``.
+
+    The rule of :func:`support_frame`: the ket's residual against the span is
+    at most ``tol.rank`` times its own norm. ``kets`` is one ket or a family
+    of kets, one per row; the result holds one flag per ket.
+    """
+    k = np.asarray(kets, dtype=complex).reshape(-1, basis.shape[0]).T  # one ket per column
+    residual = np.linalg.norm(k - basis @ (basis.conj().T @ k), axis=0)
+    return residual <= tol.rank * np.linalg.norm(k, axis=0)
 
 
 def psd_sqrt(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -12,11 +12,17 @@ clean. Four constructions cover all not-clean quasi-qubit POVMs:
   A : V^perp -> V inflates one rank-one element;
 * case ``c`` — an orthogonal split with some element not block-diagonal:
   the channel mixes the two orthogonal projectors with the identity and its
-  inverse rescales off-diagonal blocks by 1/(1 - eps^2);
+  inverse rescales off-diagonal blocks by 1/(1 - eps^2), with eps read off
+  in closed form from the positivity bound of each rescaled element;
 * case ``d`` — an oblique split V + W (supports confined to V and W, some
   W-support not orthogonal to V): a three-operator channel whose inverse is
   taken by a d^2 x d^2 linear solve for full-rank elements and in closed
   form for rank-one elements.
+
+Cases b-d share one reading of the separating pair, made once per witness:
+every support's side (V or V^perp) under the rule of
+:func:`~cleanpovm.linalg.support_frame`, and every element's off-diagonal
+block.
 
 Certificates are verified by :func:`verify_witness` using only POVM/channel
 primitives, with frozen contract constants: channel residual 1e-8, closure
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +60,14 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     hermitian_part,
+    in_span,
     orthonormal_columns,
     orthonormal_complement,
     psd_sqrt,
     superop_matrix,
     superop_solve,
 )
-from .povm import Povm, rank_one_supports, validate
+from .povm import Povm, RankOneSupport, rank_one_supports, validate
 
 #: Frozen certificate contract: third parties check against these, no negotiation.
 MAP_RESIDUAL_TOL = 1e-8
@@ -72,6 +79,14 @@ MIN_EIG_DECREASE = "min-eig-decrease"
 
 _EPS_START = 0.25
 _EPS_HALVINGS = 40
+
+#: Eigenvalue floor of a constructed Q element, relative to max(1, lambda_max).
+_PSD_FLOOR = 1e-12
+
+
+def _psd_within_floor(eigs: np.ndarray) -> bool:
+    """Whether ascending eigenvalues (one row per matrix) all clear the PSD floor."""
+    return bool(np.all(eigs[..., 0] >= -_PSD_FLOOR * np.maximum(1.0, eigs[..., -1])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,26 +181,20 @@ def build_witness(p: Povm, verdict: CleannessVerdict, tol: Tolerances = DEFAULT_
     if verdict.clean:
         raise VerdictIsClean(f"verdict {verdict.reason.value} is clean; nothing to witness")
 
-    supports = rank_one_supports(p)
-    kets = [s.ket for s in supports]
     try:
         if verdict.reason is VerdictReason.SCALAR_ELEMENTS:
             witness = witness_case_a(p, tol)
         else:
             if verdict.partition is None:
                 raise PreconditionViolated("not-clean verdict carries no partition evidence")
-            v_kets, w_kets = separating_pair(verdict.partition, kets, tol)
-            ov = orthonormal_columns(v_kets, tol)
-            in_v_or_vperp = all(
-                _in_span(ket, ov, tol) or _orthogonal_to(ket, ov, tol) for ket in kets
-            )
-            if in_v_or_vperp:
-                if _all_block_diagonal(p, ov, tol) and supports:
-                    witness = witness_case_b(p, v_kets, tol)
-                else:
-                    witness = witness_case_c(p, v_kets, tol)
+            v_kets, w_kets = separating_pair(verdict.partition)
+            split = _split(p, v_kets, tol)
+            if not split.orthogonal:
+                witness = _case_d(p, split, w_kets, tol)
+            elif split.block_diagonal.all() and split.supports:
+                witness = _case_b(p, split, tol)
             else:
-                witness = witness_case_d(p, v_kets, w_kets, tol)
+                witness = _case_c(p, split, tol)
     except ConstructionFailed:
         raise
     except CleanPovmError as exc:
@@ -211,24 +220,45 @@ def build_witness(p: Povm, verdict: CleannessVerdict, tol: Tolerances = DEFAULT_
     return witness
 
 
-def _in_span(ket, ortho_basis, tol) -> bool:
-    residual = np.linalg.norm(ket - ortho_basis @ (ortho_basis.conj().T @ ket))
-    return residual <= tol.zero * np.linalg.norm(ket)
+class _Split(NamedTuple):
+    """A separating pair V + W as the constructions read it, decided once.
+
+    ``in_v`` and ``in_vperp`` hold each rank-one support's side under
+    :func:`~cleanpovm.linalg.in_span`; ``off`` stacks the blocks P_V P_i P_W
+    and ``block_diagonal`` flags the elements whose block is within
+    ``tol.zero * max(1, ||P_i||)``.
+    """
+
+    ov: np.ndarray
+    operp: np.ndarray
+    pi_v: np.ndarray
+    supports: list[RankOneSupport]
+    in_v: np.ndarray
+    in_vperp: np.ndarray
+    off: np.ndarray
+    block_diagonal: np.ndarray
+
+    @property
+    def orthogonal(self) -> bool:
+        """Whether every support lies in V or in V^perp."""
+        return bool(np.all(self.in_v | self.in_vperp))
 
 
-def _orthogonal_to(ket, ortho_basis, tol) -> bool:
-    return np.linalg.norm(ortho_basis.conj().T @ ket) <= tol.zero * np.linalg.norm(ket)
-
-
-def _all_block_diagonal(p: Povm, ov, tol) -> bool:
+def _split(p: Povm, v_kets, tol: Tolerances) -> _Split:
     d = p.dim
-    pi_v = ov @ ov.conj().T
-    pi_w = np.eye(d) - pi_v
-    for e in p.elements:
-        off = pi_v @ e.matrix @ pi_w
-        if np.linalg.norm(off) > tol.zero * max(1.0, np.linalg.norm(e.matrix)):
-            return False
-    return True
+    ov = orthonormal_columns(v_kets, tol)
+    operp = orthonormal_complement(ov)
+    pi_v = hermitian_part(ov @ ov.conj().T)
+    supports = rank_one_supports(p)
+    kets = np.array([s.ket for s in supports]).reshape(-1, d)
+    mats = np.stack([e.matrix for e in p.elements])
+    off = pi_v @ mats @ (np.eye(d) - pi_v)
+    scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
+    block_diagonal = np.linalg.norm(off, axis=(1, 2)) <= tol.zero * scale
+    return _Split(
+        ov, operp, pi_v, supports, in_span(kets, ov, tol), in_span(kets, operp, tol), off,
+        block_diagonal,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,32 +361,33 @@ def witness_case_b(p: Povm, v_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
     A chosen so A w != 0). eps is halved from 0.25 until the absorbing
     element stays positive and the widening clears its margin.
     """
+    return _case_b(p, _split(p, v_kets, tol), tol)
+
+
+def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
     d = p.dim
-    ov = orthonormal_columns(v_kets, tol)
-    operp = orthonormal_complement(ov)
+    ov, operp, in_v = split.ov, split.operp, split.in_v
     if ov.shape[1] > operp.shape[1]:
-        ov, operp = operp, ov  # keep dim V <= dim V^perp so a coisometry exists
+        # keep dim V <= dim V^perp so a coisometry exists
+        ov, operp, in_v = operp, ov, split.in_vperp
     k, m = ov.shape[1], operp.shape[1]
-    if not _all_block_diagonal(p, ov, tol):
+    if not split.block_diagonal.all():
         raise PreconditionViolated("some element is not block-diagonal for this split")
 
-    supports = rank_one_supports(p)
+    supports = split.supports
     full = [i for i, e in enumerate(p.elements) if e.rank == d]
     if not supports or not full:
         raise PreconditionViolated("need at least one rank-one and one full-rank element")
-
-    in_v = [s for s in supports if _in_span(s.ket, ov, tol)]
-    in_w = [s for s in supports if _orthogonal_to(s.ket, ov, tol)]
-    if len(in_v) + len(in_w) != len(supports):
+    if not split.orthogonal:
         raise PreconditionViolated("a rank-one support lies outside V and V^perp")
 
     u = np.column_stack([ov, operp])
-    if in_v:
-        designated = max(in_v, key=lambda s: s.weight)
+    if in_v.any():
+        designated = max((s for s, inside in zip(supports, in_v) if inside), key=lambda s: s.weight)
         a = np.zeros((k, m), dtype=complex)
         a[:, :k] = np.eye(k)
     else:
-        designated = max(in_w, key=lambda s: s.weight)
+        designated = max(supports, key=lambda s: s.weight)  # all in V^perp
         w0 = operp.conj().T @ designated.ket
         w0 = w0 / np.linalg.norm(w0)
         # orthonormal basis of the V^perp coordinates starting at w0; A maps
@@ -385,8 +416,7 @@ def witness_case_b(p: Povm, v_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
             for i in range(p.n_outcomes):
                 if i == absorber:
                     continue
-                w_i = np.linalg.eigvalsh(hermitian_part(q_adapted[i]))
-                if w_i[0] < -1e-12 * max(1.0, w_i[-1]):
+                if not _psd_within_floor(np.linalg.eigvalsh(hermitian_part(q_adapted[i]))):
                     ok = False
                     break
         if ok:
@@ -424,121 +454,69 @@ def witness_case_c(p: Povm, v_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
 
     The channel {eps P_V, eps P_W, sqrt(1-eps^2) 1} leaves diagonal blocks
     alone and shrinks off-diagonal blocks by 1 - eps^2, so Q scales them up
-    by 1/(1-eps^2). Block-diagonal elements are untouched (Q_i = P_i,
-    bit-equal); eps is found by bisection so every full-rank Q stays PSD
-    while some minimum eigenvalue strictly drops.
+    by 1/(1-eps^2) = 1 + s with s = eps^2/(1-eps^2). Block-diagonal elements
+    are untouched (Q_i = P_i, bit-equal). A moving full-rank element
+    P_i = L L^dagger with Hermitian off-diagonal part O_i stays PSD exactly
+    for s <= s_max,i = -1/lambda_min(L^-1 O_i L^-dagger); eps is taken in
+    closed form at s = min_i s_max,i / 2, and the mover whose minimum
+    eigenvalue drops most is the widened element.
     """
-    d = p.dim
-    ov = orthonormal_columns(v_kets, tol)
-    pi_v = hermitian_part(ov @ ov.conj().T)
-    pi_w = np.eye(d) - pi_v
+    return _case_c(p, _split(p, v_kets, tol), tol)
 
-    off_parts = []
-    off_norms = []
-    for e in p.elements:
-        off = pi_v @ e.matrix @ pi_w
-        off_parts.append(hermitian_part(off + off.conj().T))
-        off_norms.append(np.linalg.norm(off))
-    is_diag = [
-        off_norms[i] <= tol.zero * max(1.0, np.linalg.norm(p.elements[i].matrix))
-        for i in range(p.n_outcomes)
+
+def _rescaling_bounds(mats: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """s_max,i = -1/lambda_min(L^-1 O_i L^-dagger) for each P_i = L L^dagger and O_i.
+
+    ``mats`` and ``offs`` are ``(m, d, d)`` stacks; P_i + s O_i is PSD exactly
+    for 0 <= s <= s_max,i.
+    """
+    try:
+        chol = np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError as exc:
+        raise EpsilonSearchFailed(f"a moving element is not positive definite: {exc}") from exc
+    # L^-1 O L^-dagger, using O^dagger = O: the adjoint of L^-1 O is O L^-dagger
+    rel = np.linalg.solve(chol, np.linalg.solve(chol, offs).conj().swapaxes(-1, -2))
+    lam = np.linalg.eigvalsh(hermitian_part(rel))[:, 0]
+    # congruent to O_i, whose nonzero off-diagonal block makes it indefinite
+    if np.any(lam >= 0):
+        raise EpsilonSearchFailed("an off-diagonal part has no negative direction")
+    return -1.0 / lam
+
+
+def _case_c(p: Povm, split: _Split, tol: Tolerances) -> Witness:
+    d = p.dim
+    movers = [
+        i for i, e in enumerate(p.elements) if e.rank == d and not split.block_diagonal[i]
     ]
-    full = [i for i, e in enumerate(p.elements) if e.rank == d]
-    movers = [i for i in full if not is_diag[i]]
     if not movers:
         raise PreconditionViolated("no full-rank element with a nonzero off-diagonal block")
-    for i, e in enumerate(p.elements):
-        if e.rank == 1 and not is_diag[i]:
-            raise PreconditionViolated("a rank-one support lies outside V and V^perp")
+    if not split.orthogonal:
+        raise PreconditionViolated("a rank-one support lies outside V and V^perp")
 
-    def q_matrices(eps: float) -> list[np.ndarray]:
-        scale = eps**2 / (1.0 - eps**2)  # off-diagonal factor 1/(1-eps^2) = 1 + scale
-        out = []
-        for i, e in enumerate(p.elements):
-            if is_diag[i]:
-                out.append(e.matrix.copy())
-            else:
-                out.append(hermitian_part(e.matrix + scale * off_parts[i]))
-        return out
+    offs = split.off + split.off.conj().swapaxes(-1, -2)  # Hermitian off-diagonal parts
+    mats = np.stack([p.elements[i].matrix for i in movers])
+    s = 0.5 * float(np.min(_rescaling_bounds(mats, offs[movers])))
+    eps = math.sqrt(s / (1.0 + s))
 
-    def min_eigs(eps: float) -> dict[int, float]:
-        mats = q_matrices(eps)
-        return {i: float(np.linalg.eigvalsh(mats[i])[0]) for i in movers}
+    q_mats = [
+        e.matrix.copy() if split.block_diagonal[i] else hermitian_part(e.matrix + s * offs[i])
+        for i, e in enumerate(p.elements)
+    ]
+    eigs = np.linalg.eigvalsh(np.stack([q_mats[i] for i in movers]))
+    if not _psd_within_floor(eigs):
+        raise EpsilonSearchFailed(f"a rescaled element loses positivity at eps={eps}")
+    drops = np.array([p.elements[i].min_eigenvalue for i in movers]) - eigs[:, 0]
+    best = int(np.argmax(drops))
+    if drops[best] < WIDENING_MARGIN:
+        raise EpsilonSearchFailed(
+            f"largest minimum-eigenvalue drop {drops[best]:.3e} at eps={eps} is below "
+            f"{WIDENING_MARGIN}"
+        )
 
-    def psd_ok(eigs) -> bool:
-        return all(v >= -1e-12 for v in eigs.values())
-
-    def drop_index(eigs, margin: float) -> Optional[int]:
-        drops = {
-            i: p.elements[i].min_eigenvalue - eigs[i]
-            for i in movers
-            if p.elements[i].min_eigenvalue - eigs[i] >= margin
-        }
-        if not drops:
-            return None
-        return max(drops, key=drops.get)
-
-    eps_plus = _case_c_epsilon_plus(p, ov, movers)
-    eps = _case_c_bisect(min_eigs, psd_ok, drop_index, eps_plus, WIDENING_MARGIN)
-    if eps is None:
-        raise EpsilonSearchFailed("bisection found no eps with PSD images and a strict drop")
-
-    widened = drop_index(min_eigs(eps), WIDENING_MARGIN)
-    q_mats = q_matrices(eps)
-    kraus = [eps * pi_v, eps * pi_w, math.sqrt(1.0 - eps**2) * np.eye(d)]
+    kraus = [eps * split.pi_v, eps * (np.eye(d) - split.pi_v), math.sqrt(1.0 - eps**2) * np.eye(d)]
     channel = KrausChannel.build(kraus, tol)
     q = validate(q_mats, tol, p.labels)
-    return Witness(q, channel, widened, "c", eps, MIN_EIG_DECREASE)
-
-
-def _case_c_epsilon_plus(p: Povm, ov, movers) -> float:
-    """An eps in (0,1) where some rescaled element must lose positivity.
-
-    From the 2x2 principal minor at the largest off-diagonal entry (adapted
-    coordinates): positivity needs B_jj D_kk >= |C_jk|^2 / (1-eps^2)^2, which
-    fails once 1 - eps^2 < |C_jk| / sqrt(B_jj D_kk).
-    """
-    d = p.dim
-    operp = orthonormal_complement(ov)
-    best = None
-    for i in movers:
-        mat = p.elements[i].matrix
-        b = ov.conj().T @ mat @ ov
-        dd = operp.conj().T @ mat @ operp
-        c = ov.conj().T @ mat @ operp
-        j, kk = np.unravel_index(int(np.argmax(np.abs(c))), c.shape)
-        denom = math.sqrt(max(b[j, j].real * dd[kk, kk].real, 1e-300))
-        ratio = min(abs(c[j, kk]) / denom, 1.0)
-        if best is None or ratio > best:
-            best = ratio
-    one_minus = best * 0.99
-    eps_plus = math.sqrt(max(1.0 - one_minus**2, 0.0))
-    return min(max(eps_plus, 1e-8), 1.0 - 1e-12)
-
-
-def _case_c_bisect(min_eigs, psd_ok, drop_index, eps_plus, margin):
-    hi = eps_plus
-    for _ in range(60):  # ensure the bracket endpoint really fails PSD
-        if not psd_ok(min_eigs(hi)):
-            break
-        if hi >= 1.0 - 1e-12:
-            return None
-        hi = math.sqrt(1.0 - (1.0 - hi**2) / 4.0)
-    else:
-        return None
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        eigs = min_eigs(mid)
-        if not psd_ok(eigs):
-            hi = mid
-            continue
-        if drop_index(eigs, margin) is not None:
-            return mid
-        lo = mid
-        if hi - lo < 1e-15:
-            return None
-    return None
+    return Witness(q, channel, movers[best], "c", eps, MIN_EIG_DECREASE)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +535,13 @@ def witness_case_d(p: Povm, v_kets, w_kets, tol: Tolerances = DEFAULT_TOL) -> Wi
     form, the two cross-checked against each other. The designated W-support
     shrinks by a factor C < 1, widening its eigenvalue to weight / C.
     """
+    return _case_d(p, _split(p, v_kets, tol), w_kets, tol)
+
+
+def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     d = p.dim
-    ov = orthonormal_columns(v_kets, tol)
-    k = ov.shape[1]
-    operp = orthonormal_complement(ov)
-    m = operp.shape[1]
+    ov, operp = split.ov, split.operp
+    k, m = ov.shape[1], operp.shape[1]
     bw = np.asarray(w_kets, dtype=complex)
     if bw.ndim == 1:
         bw = bw.reshape(d, 1)
@@ -584,23 +564,19 @@ def witness_case_d(p: Povm, v_kets, w_kets, tol: Tolerances = DEFAULT_TOL) -> Wi
     operp = operp @ rot
     u = np.column_stack([ov, operp])
 
-    supports = rank_one_supports(p)
-    ow = orthonormal_columns(bw, tol)
-    designated = None
-    best_overlap = 0.0
-    for s_ in supports:
-        ket = s_.ket
-        in_v = _in_span(ket, ov, tol)
-        in_w = _in_span(ket, ow, tol)
-        if not (in_v or in_w):
-            raise PreconditionViolated("a rank-one support lies outside V and W")
-        if in_w:
-            overlap = float(np.linalg.norm(ov.conj().T @ ket))
-            if overlap > best_overlap:
-                best_overlap = overlap
-                designated = s_
-    if designated is None or best_overlap <= tol.zero:
+    supports = split.supports
+    kets = np.array([s_.ket for s_ in supports]).reshape(-1, d)
+    in_w = in_span(kets, orthonormal_columns(bw, tol), tol)
+    if not np.all(split.in_v | in_w):
+        raise PreconditionViolated("a rank-one support lies outside V and W")
+    # the W-support with the largest component in V is the one to shrink; the
+    # overlaps are taken ket by ket, since a batched product rounds them
+    # differently and can break a tie between colinear supports the other way
+    overlap = np.array([np.linalg.norm(ov.conj().T @ s_.ket) for s_ in supports])
+    j = int(np.argmax(np.where(in_w, overlap, -1.0))) if supports else 0
+    if not supports or not in_w[j] or split.in_vperp[j]:
         raise PreconditionViolated("no rank-one support lies in W away from V^perp")
+    designated = supports[j]
 
     full = [i for i, e in enumerate(p.elements) if e.rank == d]
     rank_one_idx = {s_.index: s_ for s_ in supports}
@@ -738,8 +714,7 @@ def _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, designated, tol):
         return f"widening margin {margin:.2e} below contract at eps={eps}", True
 
     for i in full:
-        w_i = np.linalg.eigvalsh(q_mats[i])
-        if w_i[0] < -1e-12 * max(1.0, w_i[-1]):
+        if not _psd_within_floor(np.linalg.eigvalsh(q_mats[i])):
             return f"full-rank image loses positivity at eps={eps}", False
 
     q = validate(q_mats, tol, p.labels)

@@ -85,7 +85,7 @@ class TestCheck:
         def breaks(*args, **kwargs):
             raise ZeroElement("element 3 is numerically zero", index=2)
 
-        monkeypatch.setattr(witness, "witness_case_b", breaks)
+        monkeypatch.setattr(witness, "_case_b", breaks)
         out = tmp_path / "w.json"
         assert main(["check", "--input", str(qb_file), "--witness-out", str(out)]) == 2
         assert capsys.readouterr().err == (

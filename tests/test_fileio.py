@@ -65,6 +65,10 @@ class TestPovmFormat:
         with pytest.raises(FileFormatError):
             povm_from_json({"dim": 3, "elements": [element]})
 
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(FileFormatError, match="element 1: rows have inconsistent lengths"):
+            povm_from_json({"dim": 2, "elements": [[[[1, 0], [0, 0]], [[0, 0]]]]})
+
     def test_rejects_non_finite(self):
         obj = json.loads(dumps_canonical(povm_to_json(qb_not_clean())))
         obj["elements"][0][0][0][0] = float("nan")

@@ -63,9 +63,22 @@ def test_construction_breakdown_stays_an_unexpected_error(monkeypatch):
     def breaks(*args, **kwargs):
         raise EpsilonSearchFailed("no eps")
 
-    monkeypatch.setattr(witness, "witness_case_b", breaks)
+    monkeypatch.setattr(witness, "_case_b", breaks)
     with pytest.raises(ConstructionFailed):
         fuzz.check_instance(not_clean_povm(), np.random.default_rng(0))
+
+
+def test_unexpected_error_is_one_line_without_paths(monkeypatch):
+    def breaks(*args, **kwargs):
+        raise EpsilonSearchFailed("no eps")
+
+    monkeypatch.setattr(witness, "_case_b", breaks)
+    summary = fuzz.run_fuzz(dim=2, count=10, seed=3)
+    messages = {v.message for v in summary.violations}
+    assert messages == {
+        "unexpected error: ConstructionFailed: witness construction failed: no eps"
+    }
+    assert not any('File "' in m or "\n" in m for m in messages)
 
 
 def test_oracle_disagreement_is_a_violation(monkeypatch):

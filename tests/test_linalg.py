@@ -15,6 +15,7 @@ from cleanpovm.linalg import (
     eig_hermitian,
     haar_unitary,
     hermitian_part,
+    in_span,
     orthonormal_columns,
     orthonormal_complement,
     psd_sqrt,
@@ -124,6 +125,19 @@ class TestCoordsInBasis:
 
     def test_small_coefficients_reported_zero(self):
         assert support_frame([E1, E2, E1 + 1e-12 * E2]).spans[2] == (0,)
+
+
+class TestInSpan:
+    def test_residual_relative_to_ket_norm(self):
+        e1 = np.array([[1.0], [0.0]], dtype=complex)
+        kets = np.array([[1.0, 5e-9], [1.0, 5e-8], [1e6, 5e-3], [0.0, 1.0]])
+        assert in_span(kets, e1).tolist() == [True, False, True, False]
+        assert in_span(kets, e1, Tolerances(rank=0.1)).tolist() == [True, True, True, False]
+
+    def test_one_ket_and_the_empty_family(self):
+        e1 = np.array([[1.0], [0.0]], dtype=complex)
+        assert in_span(np.array([2.0, 0.0]), e1).tolist() == [True]
+        assert in_span(np.zeros((0, 2)), e1).shape == (0,)
 
 
 class TestSupportFrame:

@@ -137,6 +137,22 @@ class TestCaseC:
         assert q0[0, 1].real == pytest.approx(0.1 * scale, abs=1e-12)
         assert verify_witness(p, w).passed
 
+    def test_closed_form_epsilon(self):
+        # pm and its off-diagonal part O share eigenvectors, so pm^-1 O has
+        # eigenvalues 0.1/0.6 and -0.1/0.4: s_max = 4 for both elements, and
+        # s = s_max / 2 = 2 gives eps^2 = s / (1 + s) = 2/3
+        from cleanpovm.witness import _rescaling_bounds
+
+        pm = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
+        off = np.array([[0.0, 0.1], [0.1, 0.0]], dtype=complex)
+        bounds = _rescaling_bounds(np.stack([pm, np.eye(2) - pm]), np.stack([off, -off]))
+        assert np.allclose(bounds, [4.0, 4.0], rtol=0, atol=1e-12)
+        p = validate([pm, np.eye(2) - pm])
+        w = witness_case_c(p, E1.reshape(2, 1))
+        assert abs(w.epsilon - np.sqrt(2 / 3)) <= 1e-12
+        assert w.widened_index == 0
+        assert verify_witness(p, w).passed
+
     def test_fixed_scale_example(self):
         # at eps = 0.2 the off-diagonal entry 0.1 becomes 0.1 / 0.96 = 0.10416...
         pm = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
