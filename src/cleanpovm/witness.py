@@ -13,7 +13,8 @@ clean. Four constructions cover all not-clean quasi-qubit POVMs:
 * case ``c`` — an orthogonal split with some element not block-diagonal:
   the channel mixes the two orthogonal projectors with the identity and its
   inverse rescales off-diagonal blocks by 1/(1 - eps^2), with eps read off
-  in closed form from the positivity bound of each rescaled element;
+  in closed form from the positivity bound of each rescaled element (half
+  the bound, or closer to it when the widening margin needs more);
 * case ``d`` — an oblique split V + W (supports confined to V and W, some
   W-support not orthogonal to V): a three-operator channel whose inverse is
   taken by a d^2 x d^2 linear solve for full-rank elements and in closed
@@ -223,25 +224,22 @@ def build_witness(p: Povm, verdict: CleannessVerdict, tol: Tolerances = DEFAULT_
 class _Split(NamedTuple):
     """A separating pair V + W as the constructions read it, decided once.
 
-    ``in_v`` and ``in_vperp`` hold each rank-one support's side under
-    :func:`~cleanpovm.linalg.in_span`; ``off`` stacks the blocks P_V P_i P_W
-    and ``block_diagonal`` flags the elements whose block is within
-    ``tol.zero * max(1, ||P_i||)``.
+    ``in_v`` and ``in_vperp`` hold each support ket's side under
+    :func:`~cleanpovm.linalg.in_span`. On an orthogonal split ``off`` stacks
+    the blocks P_V P_i P_W and ``block_diagonal`` flags those within
+    ``tol.zero * max(1, ||P_i||)``; an oblique split leaves both ``None``.
     """
 
     ov: np.ndarray
     operp: np.ndarray
     pi_v: np.ndarray
     supports: list[RankOneSupport]
+    kets: np.ndarray
     in_v: np.ndarray
     in_vperp: np.ndarray
-    off: np.ndarray
-    block_diagonal: np.ndarray
-
-    @property
-    def orthogonal(self) -> bool:
-        """Whether every support lies in V or in V^perp."""
-        return bool(np.all(self.in_v | self.in_vperp))
+    orthogonal: bool
+    off: np.ndarray | None
+    block_diagonal: np.ndarray | None
 
 
 def _split(p: Povm, v_kets, tol: Tolerances) -> _Split:
@@ -251,14 +249,15 @@ def _split(p: Povm, v_kets, tol: Tolerances) -> _Split:
     pi_v = hermitian_part(ov @ ov.conj().T)
     supports = rank_one_supports(p)
     kets = np.array([s.ket for s in supports]).reshape(-1, d)
-    mats = np.stack([e.matrix for e in p.elements])
-    off = pi_v @ mats @ (np.eye(d) - pi_v)
-    scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
-    block_diagonal = np.linalg.norm(off, axis=(1, 2)) <= tol.zero * scale
-    return _Split(
-        ov, operp, pi_v, supports, in_span(kets, ov, tol), in_span(kets, operp, tol), off,
-        block_diagonal,
-    )
+    in_v, in_vperp = in_span(kets, ov, tol), in_span(kets, operp, tol)
+    orthogonal = bool(np.all(in_v | in_vperp))
+    off = block_diagonal = None
+    if orthogonal:
+        mats = np.stack([e.matrix for e in p.elements])
+        off = pi_v @ mats @ (np.eye(d) - pi_v)
+        scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
+        block_diagonal = np.linalg.norm(off, axis=(1, 2)) <= tol.zero * scale
+    return _Split(ov, operp, pi_v, supports, kets, in_v, in_vperp, orthogonal, off, block_diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +370,8 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
         # keep dim V <= dim V^perp so a coisometry exists
         ov, operp, in_v = operp, ov, split.in_vperp
     k, m = ov.shape[1], operp.shape[1]
+    if not split.orthogonal:
+        raise PreconditionViolated("a rank-one support lies outside V and V^perp")
     if not split.block_diagonal.all():
         raise PreconditionViolated("some element is not block-diagonal for this split")
 
@@ -378,8 +379,6 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
     full = [i for i, e in enumerate(p.elements) if e.rank == d]
     if not supports or not full:
         raise PreconditionViolated("need at least one rank-one and one full-rank element")
-    if not split.orthogonal:
-        raise PreconditionViolated("a rank-one support lies outside V and V^perp")
 
     u = np.column_stack([ov, operp])
     if in_v.any():
@@ -398,48 +397,33 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
     absorber = full[0]
     p_adapted = [u.conj().T @ e.matrix @ u for e in p.elements]
 
-    eps = _EPS_START
-    for _ in range(_EPS_HALVINGS):
-        q_adapted = {}
-        for i, mat in enumerate(p_adapted):
-            if i != absorber:
-                q_adapted[i] = case_b_widen_map(mat, a, eps)
-        q_adapted[absorber] = np.eye(d, dtype=complex) - sum(
-            q_adapted[i] for i in range(p.n_outcomes) if i != absorber
-        )
+    others = [i for i in range(p.n_outcomes) if i != absorber]
+    for k in range(_EPS_HALVINGS):
+        eps = _EPS_START * 0.5**k
+        q_adapted = {i: case_b_widen_map(p_adapted[i], a, eps) for i in others}
+        q_adapted[absorber] = np.eye(d, dtype=complex) - sum(q_adapted[i] for i in others)
 
-        ok = True
         w_abs = np.linalg.eigvalsh(hermitian_part(q_adapted[absorber]))
         if w_abs[0] < tol.psd * max(w_abs[-1], 0.0):
-            ok = False
-        if ok:
-            for i in range(p.n_outcomes):
-                if i == absorber:
-                    continue
-                if not _psd_within_floor(np.linalg.eigvalsh(hermitian_part(q_adapted[i]))):
-                    ok = False
-                    break
-        if ok:
-            kraus = [u @ mk @ u.conj().T for mk in case_b_kraus(a, eps)]
-            channel = KrausChannel.build(kraus, tol)
-            if channel.closure_residual() > CLOSURE_RESIDUAL_TOL:
-                ok = False
-        if ok:
-            q_mats = [hermitian_part(u @ q_adapted[i] @ u.conj().T) for i in range(p.n_outcomes)]
-            residual = max(
-                hs_norm(apply(channel, qm) - e.matrix) for qm, e in zip(q_mats, p.elements)
-            )
-            if residual > MAP_RESIDUAL_TOL:
-                ok = False
-        if ok:
-            i_w = designated.index
-            margin = float(np.linalg.eigvalsh(q_mats[i_w])[-1]) - p.elements[i_w].max_eigenvalue
-            if margin < WIDENING_MARGIN:
-                ok = False
-        if ok:
-            q = validate(q_mats, tol, p.labels)
-            return Witness(q, channel, designated.index, "b", eps, MAX_EIG_INCREASE)
-        eps *= 0.5
+            continue
+        if not all(
+            _psd_within_floor(np.linalg.eigvalsh(hermitian_part(q_adapted[i]))) for i in others
+        ):
+            continue
+        kraus = [u @ mk @ u.conj().T for mk in case_b_kraus(a, eps)]
+        channel = KrausChannel.build(kraus, tol)
+        if channel.closure_residual() > CLOSURE_RESIDUAL_TOL:
+            continue
+        q_mats = [hermitian_part(u @ q_adapted[i] @ u.conj().T) for i in range(p.n_outcomes)]
+        residual = max(hs_norm(apply(channel, qm) - e.matrix) for qm, e in zip(q_mats, p.elements))
+        if residual > MAP_RESIDUAL_TOL:
+            continue
+        i_w = designated.index
+        margin = float(np.linalg.eigvalsh(q_mats[i_w])[-1]) - p.elements[i_w].max_eigenvalue
+        if margin < WIDENING_MARGIN:
+            continue
+        q = validate(q_mats, tol, p.labels)
+        return Witness(q, channel, designated.index, "b", eps, MAX_EIG_INCREASE)
     raise EpsilonSearchFailed(
         f"no eps in {_EPS_START} * 2^-k (k <= {_EPS_HALVINGS}) satisfied the case-(b) checks"
     )
@@ -459,7 +443,9 @@ def witness_case_c(p: Povm, v_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
     P_i = L L^dagger with Hermitian off-diagonal part O_i stays PSD exactly
     for s <= s_max,i = -1/lambda_min(L^-1 O_i L^-dagger); eps is taken in
     closed form at s = min_i s_max,i / 2, and the mover whose minimum
-    eigenvalue drops most is the widened element.
+    eigenvalue drops most is the widened element. If no drop clears the
+    widening margin there, s moves toward min_i s_max,i, halving the
+    distance left at each trial.
     """
     return _case_c(p, _split(p, v_kets, tol), tol)
 
@@ -485,38 +471,58 @@ def _rescaling_bounds(mats: np.ndarray, offs: np.ndarray) -> np.ndarray:
 
 def _case_c(p: Povm, split: _Split, tol: Tolerances) -> Witness:
     d = p.dim
+    if not split.orthogonal:
+        raise PreconditionViolated("a rank-one support lies outside V and V^perp")
     movers = [
         i for i, e in enumerate(p.elements) if e.rank == d and not split.block_diagonal[i]
     ]
     if not movers:
         raise PreconditionViolated("no full-rank element with a nonzero off-diagonal block")
-    if not split.orthogonal:
-        raise PreconditionViolated("a rank-one support lies outside V and V^perp")
 
     offs = split.off + split.off.conj().swapaxes(-1, -2)  # Hermitian off-diagonal parts
     mats = np.stack([p.elements[i].matrix for i in movers])
-    s = 0.5 * float(np.min(_rescaling_bounds(mats, offs[movers])))
-    eps = math.sqrt(s / (1.0 + s))
+    min_eigs = np.array([p.elements[i].min_eigenvalue for i in movers])
+    pi_w = np.eye(d) - split.pi_v
 
-    q_mats = [
-        e.matrix.copy() if split.block_diagonal[i] else hermitian_part(e.matrix + s * offs[i])
-        for i, e in enumerate(p.elements)
-    ]
-    eigs = np.linalg.eigvalsh(np.stack([q_mats[i] for i in movers]))
-    if not _psd_within_floor(eigs):
-        raise EpsilonSearchFailed(f"a rescaled element loses positivity at eps={eps}")
-    drops = np.array([p.elements[i].min_eigenvalue for i in movers]) - eigs[:, 0]
-    best = int(np.argmax(drops))
-    if drops[best] < WIDENING_MARGIN:
-        raise EpsilonSearchFailed(
-            f"largest minimum-eigenvalue drop {drops[best]:.3e} at eps={eps} is below "
-            f"{WIDENING_MARGIN}"
-        )
+    def attempt(s):
+        eps = math.sqrt(s / (1.0 + s))
+        q_mats = [
+            e.matrix.copy() if split.block_diagonal[i] else hermitian_part(e.matrix + s * offs[i])
+            for i, e in enumerate(p.elements)
+        ]
+        eigs = np.linalg.eigvalsh(np.stack([q_mats[i] for i in movers]))
+        if not _psd_within_floor(eigs):
+            return f"a rescaled element loses positivity at eps={eps}", False
+        drops = min_eigs - eigs[:, 0]
+        best = int(np.argmax(drops))
+        if drops[best] < WIDENING_MARGIN:
+            drop = f"largest minimum-eigenvalue drop {drops[best]:.3e} at eps={eps}"
+            return f"{drop} is below {WIDENING_MARGIN}", True
+        kraus = [eps * split.pi_v, eps * pi_w, math.sqrt(1.0 - eps**2) * np.eye(d)]
+        channel = KrausChannel.build(kraus, tol)
+        q = validate(q_mats, tol, p.labels)
+        return Witness(q, channel, movers[best], "c", eps, MIN_EIG_DECREASE)
 
-    kraus = [eps * split.pi_v, eps * (np.eye(d) - split.pi_v), math.sqrt(1.0 - eps**2) * np.eye(d)]
-    channel = KrausChannel.build(kraus, tol)
-    q = validate(q_mats, tol, p.labels)
-    return Witness(q, channel, movers[best], "c", eps, MIN_EIG_DECREASE)
+    return _case_c_bisect(attempt, float(np.min(_rescaling_bounds(mats, offs[movers]))))
+
+
+def _case_c_bisect(attempt, s_max: float) -> Witness:
+    """Bisect [s, s_max) from s = s_max / 2 while only the widening margin fails.
+
+    ``attempt(s)`` returns a Witness or ``(problem, needs_larger)``. Drops grow
+    with s, and concavity keeps lambda_min(P_i + s O_i) >= (1 - s / s_max)
+    lambda_min(P_i), so every trial is PSD up to rounding.
+    """
+    gap = 0.5 * s_max
+    for _ in range(_EPS_HALVINGS):
+        result = attempt(s_max - gap)
+        if isinstance(result, Witness):
+            return result
+        problem, needs_larger = result
+        if not needs_larger:
+            break
+        gap *= 0.5
+    raise EpsilonSearchFailed(f"case-(c) eps search failed; last problem: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +571,7 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     u = np.column_stack([ov, operp])
 
     supports = split.supports
-    kets = np.array([s_.ket for s_ in supports]).reshape(-1, d)
-    in_w = in_span(kets, orthonormal_columns(bw, tol), tol)
+    in_w = in_span(split.kets, orthonormal_columns(bw, tol), tol)
     if not np.all(split.in_v | in_w):
         raise PreconditionViolated("a rank-one support lies outside V and W")
     # the W-support with the largest component in V is the one to shrink; the

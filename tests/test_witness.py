@@ -153,6 +153,17 @@ class TestCaseC:
         assert w.widened_index == 0
         assert verify_witness(p, w).passed
 
+    def test_near_singular_mover_moves_toward_the_bound(self):
+        # lambda_min(P_1) is about 1.4e-6; a drop is convex in s, so at
+        # s = s_max / 2 it is at most half of that, below the 1e-6 margin,
+        # and s has to move on toward s_max
+        pm = np.array([[3e-6, 9e-4], [9e-4, 0.5]], dtype=complex)
+        p = validate([pm, np.eye(2) - pm])
+        w = witness_case_c(p, E1.reshape(2, 1))
+        assert w.widened_index == 0
+        assert verify_witness(p, w).passed
+        assert build_witness(p, decide_clean(p)).case_tag == "c"
+
     def test_fixed_scale_example(self):
         # at eps = 0.2 the off-diagonal entry 0.1 becomes 0.1 / 0.96 = 0.10416...
         pm = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
