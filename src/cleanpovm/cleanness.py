@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotQuasiQubit, SingleBlock, WrongCount
+from .errors import NotQuasiQubit, SingleBlock, WrongCount, ZeroElement
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -38,7 +38,7 @@ from .linalg import (
     orthonormal_complement,
     support_frame,
 )
-from .povm import Povm, PovmClass, classify, rank_one_supports
+from .povm import Povm, PovmClass, _fro_norms, classify, rank_one_supports
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,18 +226,22 @@ def totally_determined_nullspace(
     supports totally determine C^d; any second solution splits the space
     into a separating pair of R-invariant subspaces, and conversely an
     oblique projector onto V along W is a second solution.
+
+    The system is built in one stacked pass: every complement comes from one
+    stacked SVD, and every row ``kron(conj(u_k), psi_i)`` from one broadcast
+    product. A zero support raises :class:`ZeroElement`.
     """
     d = int(dim)
-    rows = []
-    for ket in supports:
-        psi = as_ket(ket, d)
-        psi = psi / np.linalg.norm(psi)
-        complement = orthonormal_complement(psi.reshape(d, 1))
-        for k in range(complement.shape[1]):
-            rows.append(np.kron(complement[:, k].conj(), psi))
-    if not rows:
+    kets = np.array([as_ket(ket, d) for ket in supports]).reshape(-1, d)
+    if not len(kets):
         return d * d
-    system = np.vstack(rows)
+    norms = _fro_norms(kets)  # rounds as np.linalg.norm of each ket does
+    if not norms.all():
+        i = int(np.argmin(norms))
+        raise ZeroElement(f"support {i + 1} is zero", index=i)
+    psi = kets / norms[:, None]
+    u = orthonormal_complement(psi[:, :, None]).conj().swapaxes(1, 2)  # (n, d-1, d)
+    system = (u[..., None] * psi[:, None, None, :]).reshape(-1, d * d)
     s = np.linalg.svd(system, compute_uv=False)
     rank = int(np.sum(s > tol.rank * s[0])) if s[0] > 0 else 0
     return d * d - rank
@@ -275,11 +279,10 @@ def is_projective_frame(vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT
     if any(k.shape[0] != d for k in kets):
         raise WrongCount("vectors have mixed dimensions")
 
-    def full_rank(cols):
-        s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-        return s[0] > 0 and s[-1] > tol.rank * s[0]
-
-    by_subsets = all(full_rank([k for j, k in enumerate(kets) if j != leave]) for leave in range(d + 1))
+    columns = np.column_stack(kets)
+    leave_one_out = [[j for j in range(d + 1) if j != leave] for leave in range(d + 1)]
+    s = np.linalg.svd(columns[:, leave_one_out].swapaxes(0, 1), compute_uv=False)
+    by_subsets = bool(np.all((s[:, 0] > 0) & (s[:, -1] > tol.rank * s[:, 0])))
 
     frame = support_frame(kets, tol)
     by_coords = frame.selected == tuple(range(d)) and len(frame.spans[d]) == d

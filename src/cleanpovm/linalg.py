@@ -259,14 +259,15 @@ def orthonormal_columns(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def orthonormal_complement(q: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the column span of ``q``.
 
-    ``q`` must already have orthonormal columns.
+    ``q`` must already have orthonormal columns. A stack ``(..., d, k)``
+    gives one complement per matrix from a single SVD call, each equal to
+    the complement of that matrix alone.
     """
-    d = q.shape[0]
-    k = q.shape[1]
+    d, k = q.shape[-2:]
     if k == 0:
-        return np.eye(d, dtype=complex)
+        return np.broadcast_to(np.eye(d, dtype=complex), (*q.shape[:-1], d)).copy()
     u, _, _ = np.linalg.svd(q, full_matrices=True)
-    return u[:, k:]
+    return u[..., k:]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests for the cleanness decision, the nullspace oracle, and frame detection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from cleanpovm.cleanness import (
     separating_pair,
     totally_determined_nullspace,
 )
-from cleanpovm.errors import ConstructionFailed, NotQuasiQubit, SingleBlock, WrongCount
+from cleanpovm.errors import ConstructionFailed, NotQuasiQubit, SingleBlock, WrongCount, ZeroElement
 from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import haar_unitary, in_span, orthonormal_columns, support_frame
 from cleanpovm.povm import random_povm, random_split_povm, rank_one_supports, validate
@@ -150,6 +152,32 @@ class TestSeparatingPair:
             checked += 1
 
 
+def kron_reference_system(kets, d):
+    """The oracle's system built support by support: one complement SVD and
+    d-1 ``np.kron`` rows per ket."""
+    rows = []
+    for ket in kets:
+        psi = ket / np.linalg.norm(ket)
+        complement = np.linalg.svd(psi.reshape(d, 1), full_matrices=True)[0][:, 1:]
+        for k in range(d - 1):
+            rows.append(np.kron(complement[:, k].conj(), psi))
+    return np.vstack(rows)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Every matrix passed to ``np.linalg.svd`` during the test, in call order."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
 class TestNullspaceOracle:
     def test_two_orthogonal_supports(self):
         assert totally_determined_nullspace([E1, E2], 2) == 2
@@ -162,6 +190,36 @@ class TestNullspaceOracle:
 
     def test_no_supports(self):
         assert totally_determined_nullspace([], 3) == 9
+
+    def test_zero_support_is_an_input_error(self):
+        e1 = np.array([1.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning may escape either
+            with pytest.raises(ZeroElement) as excinfo:
+                totally_determined_nullspace([e1, np.zeros(3)], 3)
+        assert excinfo.value.index == 1
+
+    def test_system_equals_per_support_kron_rows(self, svd_calls):
+        rng = np.random.default_rng(23)
+        for d in (2, 3, 4, 8, 16):
+            for n in (1, d - 1, d + 3):
+                kets = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+                kets *= rng.uniform(0.1, 10.0, (n, 1)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (n, 1)))
+                for family in (list(kets), kets):  # a list of kets, or one per row
+                    svd_calls.clear()
+                    nullity = totally_determined_nullspace(family, d)
+                    system = svd_calls[-1]
+                    assert np.array_equal(system, kron_reference_system(kets, d))
+                    s = np.linalg.svd(system, compute_uv=False)
+                    assert nullity == d * d - int(np.sum(s > 1e-8 * s[0]))
+
+    def test_two_svd_calls_whatever_the_family_size(self, svd_calls):
+        rng = np.random.default_rng(29)
+        for n in (1, 3, 10, 40):
+            kets = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+            svd_calls.clear()
+            totally_determined_nullspace(kets, 4)
+            assert len(svd_calls) == 2
 
     def test_oracle_verdict_split(self):
         assert oracle_verdict(qb_not_clean()) == (False, 2)
@@ -214,6 +272,11 @@ class TestProjectiveFrame:
         e3 = np.array([0, 0, 1], dtype=complex)
         assert not is_projective_frame([e1, e2, e3, e1 + e2])
         assert is_projective_frame([e1, e2, e3, e1 + e2 + e3])
+
+    def test_one_svd_for_every_leave_one_out_subset(self, svd_calls):
+        e1, e2, e3 = np.eye(3, dtype=complex)
+        assert not is_projective_frame([e1, e2, e3, e1 + e2])
+        assert [a.shape for a in svd_calls] == [(4, 3, 3)]
 
     def test_wrong_count(self):
         with pytest.raises(WrongCount):

@@ -296,6 +296,17 @@ class TestOrthonormalHelpers:
         assert comp.shape == (4, 3)
         assert np.linalg.norm(q.conj().T @ comp) <= 1e-12
 
+    def test_stacked_complement_equals_each_single_complement(self):
+        rng = np.random.default_rng(19)
+        for d in (2, 3, 4, 8, 16):
+            for k in range(d + 1):
+                z = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+                q = np.linalg.qr(z)[0][..., :k]
+                stacked = orthonormal_complement(q)
+                assert stacked.shape == (6, d, d - k)
+                for comp, single in zip(stacked, q):
+                    assert np.array_equal(comp, orthonormal_complement(single))
+
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(5, np.random.default_rng(0))
         assert np.linalg.norm(u.conj().T @ u - np.eye(5)) <= 1e-12
