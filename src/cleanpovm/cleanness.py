@@ -214,6 +214,10 @@ def separating_pair(
     return v, w
 
 
+#: Below this norm a ket's squared norm is subnormal or zero.
+_NORM_FLOOR = float(np.sqrt(np.finfo(float).tiny))
+
+
 def totally_determined_nullspace(
     supports: Sequence[np.ndarray], dim: int, tol: Tolerances = DEFAULT_TOL
 ) -> int:
@@ -229,13 +233,21 @@ def totally_determined_nullspace(
 
     The system is built in one stacked pass: every complement comes from one
     stacked SVD, and every row ``kron(conj(u_k), psi_i)`` from one broadcast
-    product. A zero support raises :class:`ZeroElement`.
+    product. A nonzero ket whose squared norm overflows or underflows is
+    first divided by its largest entry. A zero support raises
+    :class:`ZeroElement`.
     """
     d = int(dim)
     kets = np.array([as_ket(ket, d) for ket in supports]).reshape(-1, d)
     if not len(kets):
         return d * d
-    norms = _fro_norms(kets)  # rounds as np.linalg.norm of each ket does
+    with np.errstate(over="ignore"):
+        norms = _fro_norms(kets)  # rounds as np.linalg.norm of each ket does
+    odd = ~((norms >= _NORM_FLOOR) & (norms < np.inf))
+    if odd.any():  # a squared norm overflowed or left the normal range
+        peak = np.abs(kets[odd]).max(axis=1, keepdims=True)
+        kets[odd] /= np.where(peak > 0, peak, 1.0)  # a zero ket stays zero
+        norms[odd] = _fro_norms(kets[odd])
     if not norms.all():
         i = int(np.argmin(norms))
         raise ZeroElement(f"support {i + 1} is zero", index=i)
@@ -266,9 +278,9 @@ def oracle_verdict(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> OracleVerdict:
 def is_projective_frame(vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the d+1 vectors are in general position (every d of them a basis).
 
-    Computed by two routes that must agree: rank of every leave-one-out
-    subset, and the support frame: the first d are its basis and the span
-    of the last one needs all d of them.
+    Read off :func:`~cleanpovm.linalg.support_frame`, the package's one
+    dependence rule: the first d vectors are its basis and the span of the
+    last one needs all d of them.
     """
     kets = [as_ket(v) for v in vectors]
     if not kets:
@@ -278,14 +290,5 @@ def is_projective_frame(vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT
         raise WrongCount(f"need exactly {d + 1} vectors for dimension {d}, got {len(kets)}")
     if any(k.shape[0] != d for k in kets):
         raise WrongCount("vectors have mixed dimensions")
-
-    columns = np.column_stack(kets)
-    leave_one_out = [[j for j in range(d + 1) if j != leave] for leave in range(d + 1)]
-    s = np.linalg.svd(columns[:, leave_one_out].swapaxes(0, 1), compute_uv=False)
-    by_subsets = bool(np.all((s[:, 0] > 0) & (s[:, -1] > tol.rank * s[:, 0])))
-
     frame = support_frame(kets, tol)
-    by_coords = frame.selected == tuple(range(d)) and len(frame.spans[d]) == d
-
-    assert by_subsets == by_coords, "projective-frame routes disagree"
-    return by_subsets
+    return frame.selected == tuple(range(d)) and len(frame.spans[d]) == d

@@ -23,7 +23,12 @@ clean. Four constructions cover all not-clean quasi-qubit POVMs:
 Cases b-d share one reading of the separating pair, made once per witness:
 every support's side (V or V^perp) under the rule of
 :func:`~cleanpovm.linalg.support_frame`, and every element's off-diagonal
-block.
+block. They also share one search over their deformation parameter: trials
+along a fixed schedule, stopped at the first failure that asks to move the
+other way. Cases b and d run eps down 0.25 * 2^-k while positivity, closure
+or a residual check fails, and stop once the widening margin is missed,
+since a smaller eps only widens less; case d climbs a few fixed values
+instead when eps = 0.25 already misses the margin.
 
 Certificates are verified by :func:`verify_witness` using only POVM/channel
 primitives, with frozen contract constants: channel residual 1e-8, closure
@@ -80,6 +85,10 @@ MIN_EIG_DECREASE = "min-eig-decrease"
 
 _EPS_START = 0.25
 _EPS_HALVINGS = 40
+#: Cases b and d try eps = 0.25 * 2^-k downward, while a check asks for a smaller eps.
+_EPS_SCHEDULE = tuple(_EPS_START * 0.5**k for k in range(_EPS_HALVINGS))
+#: Case d climbs these instead when eps = 0.25 already leaves too little margin.
+_EPS_RUNGS = (0.4, 0.55, 0.7, 0.85, 0.95)
 
 #: Eigenvalue floor of a constructed Q element, relative to max(1, lambda_max).
 _PSD_FLOOR = 1e-12
@@ -260,6 +269,26 @@ def _split(p: Povm, v_kets, tol: Tolerances) -> _Split:
     return _Split(ov, operp, pi_v, supports, kets, in_v, in_vperp, orthogonal, off, block_diagonal)
 
 
+def _eps_walk(trial, schedule, larger: bool, case_tag: str) -> Witness:
+    """Try ``trial`` at each value of ``schedule`` until one gives a Witness.
+
+    ``trial(x)`` returns a Witness or ``(problem, needs_larger)``. The
+    schedule moves x one way, upward when ``larger``; the walk stops at the
+    first failure that asks for the other way, since every later value only
+    moves further from what that check needs. Raises
+    :class:`EpsilonSearchFailed` naming the last problem.
+    """
+    problem = "empty schedule"
+    for x in schedule:
+        result = trial(x)
+        if isinstance(result, Witness):
+            return result
+        problem, needs_larger = result
+        if needs_larger != larger:
+            break
+    raise EpsilonSearchFailed(f"case-({case_tag}) eps search failed; last problem: {problem}")
+
+
 # ---------------------------------------------------------------------------
 # case (a): scalar elements
 
@@ -357,8 +386,9 @@ def witness_case_b(p: Povm, v_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
     One full-rank element absorbs the closure; every other element is pushed
     through the right inverse, which inflates a designated rank-one element
     by 1 + eps^2 (support in V) or 1 + eps^2 ||A w||^2 (support w in V^perp,
-    A chosen so A w != 0). eps is halved from 0.25 until the absorbing
-    element stays positive and the widening clears its margin.
+    A chosen so A w != 0). eps runs down 0.25 * 2^-k while a positivity,
+    closure or map check fails; the first eps that misses the widening
+    margin ends the search, since a smaller eps widens less.
     """
     return _case_b(p, _split(p, v_kets, tol), tol)
 
@@ -396,37 +426,34 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
 
     absorber = full[0]
     p_adapted = [u.conj().T @ e.matrix @ u for e in p.elements]
-
     others = [i for i in range(p.n_outcomes) if i != absorber]
-    for k in range(_EPS_HALVINGS):
-        eps = _EPS_START * 0.5**k
+
+    def attempt(eps):
         q_adapted = {i: case_b_widen_map(p_adapted[i], a, eps) for i in others}
         q_adapted[absorber] = np.eye(d, dtype=complex) - sum(q_adapted[i] for i in others)
-
         w_abs = np.linalg.eigvalsh(hermitian_part(q_adapted[absorber]))
         if w_abs[0] < tol.psd * max(w_abs[-1], 0.0):
-            continue
+            return f"absorbing element loses positivity at eps={eps}", False
         if not all(
             _psd_within_floor(np.linalg.eigvalsh(hermitian_part(q_adapted[i]))) for i in others
         ):
-            continue
+            return f"a widened element loses positivity at eps={eps}", False
         kraus = [u @ mk @ u.conj().T for mk in case_b_kraus(a, eps)]
         channel = KrausChannel.build(kraus, tol)
         if channel.closure_residual() > CLOSURE_RESIDUAL_TOL:
-            continue
+            return f"closure residual above contract at eps={eps}", False
         q_mats = [hermitian_part(u @ q_adapted[i] @ u.conj().T) for i in range(p.n_outcomes)]
         residual = max(hs_norm(apply(channel, qm) - e.matrix) for qm, e in zip(q_mats, p.elements))
         if residual > MAP_RESIDUAL_TOL:
-            continue
+            return f"map residual above contract at eps={eps}", False
         i_w = designated.index
         margin = float(np.linalg.eigvalsh(q_mats[i_w])[-1]) - p.elements[i_w].max_eigenvalue
         if margin < WIDENING_MARGIN:
-            continue
+            return f"widening margin {margin:.2e} below contract at eps={eps}", True
         q = validate(q_mats, tol, p.labels)
         return Witness(q, channel, designated.index, "b", eps, MAX_EIG_INCREASE)
-    raise EpsilonSearchFailed(
-        f"no eps in {_EPS_START} * 2^-k (k <= {_EPS_HALVINGS}) satisfied the case-(b) checks"
-    )
+
+    return _eps_walk(attempt, _EPS_SCHEDULE, False, "b")
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +540,8 @@ def _case_c_bisect(attempt, s_max: float) -> Witness:
     with s, and concavity keeps lambda_min(P_i + s O_i) >= (1 - s / s_max)
     lambda_min(P_i), so every trial is PSD up to rounding.
     """
-    gap = 0.5 * s_max
-    for _ in range(_EPS_HALVINGS):
-        result = attempt(s_max - gap)
-        if isinstance(result, Witness):
-            return result
-        problem, needs_larger = result
-        if not needs_larger:
-            break
-        gap *= 0.5
-    raise EpsilonSearchFailed(f"case-(c) eps search failed; last problem: {problem}")
+    schedule = (s_max - s_max * 0.5 ** (k + 1) for k in range(_EPS_HALVINGS))
+    return _eps_walk(attempt, schedule, True, "c")
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +558,11 @@ def witness_case_d(p: Povm, v_kets, w_kets, tol: Tolerances = DEFAULT_TOL) -> Wi
     the PSD square root B(eps) close exactly; full-rank elements are pulled
     back through a d^2 x d^2 linear solve and rank-one elements in closed
     form, the two cross-checked against each other. The designated W-support
-    shrinks by a factor C < 1, widening its eigenvalue to weight / C.
+    shrinks by a factor C < 1, widening its eigenvalue to weight / C. eps
+    runs down 0.25 * 2^-k while the solve, closure or positivity fails, and
+    the first eps whose contraction or margin falls short ends the search;
+    if eps = 0.25 already falls short, eps climbs 0.4, 0.55, ..., 0.95
+    until a check asks for a smaller one.
     """
     return _case_d(p, _split(p, v_kets, tol), w_kets, tol)
 
@@ -591,63 +614,12 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     def attempt(eps):
         return _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, designated, tol)
 
-    # The checks pull in opposite directions: positivity, closure and the
-    # solve want eps small, while the widening margin grows with eps. Halve
-    # from the start value; once an eps fails only for being too small,
-    # bisect against the nearest too-large eps so a narrow feasible window
-    # between the two boundaries is not stepped over. If even the start
-    # value is too small, walk upward first to bracket the window from above.
-    last_problem = "schedule exhausted"
-
-    def bisect(lo, hi):
-        nonlocal last_problem
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            result = attempt(mid)
-            if isinstance(result, Witness):
-                return result
-            problem, needs_larger = result
-            last_problem = problem
-            if needs_larger:
-                lo = mid
-            else:
-                hi = mid
-        return None
-
-    eps = _EPS_START
-    too_large = None
-    for _ in range(_EPS_HALVINGS):
-        result = attempt(eps)
-        if isinstance(result, Witness):
-            return result
-        problem, needs_larger = result
-        last_problem = problem
-        if not needs_larger:
-            too_large = eps
-            eps *= 0.5
-            continue
-        if too_large is None:
-            lo = eps
-            for up in (0.4, 0.55, 0.7, 0.85, 0.95):
-                result = attempt(up)
-                if isinstance(result, Witness):
-                    return result
-                problem, needs_larger = result
-                last_problem = problem
-                if needs_larger:
-                    lo = up
-                else:
-                    too_large = up
-                    break
-            if too_large is None:
-                break  # margin infeasible even close to eps = 1
-            found = bisect(lo, too_large)
-        else:
-            found = bisect(eps, too_large)
-        if found is not None:
-            return found
-        break
-    raise EpsilonSearchFailed(f"case-(d) eps search failed; last problem: {last_problem}")
+    first = attempt(_EPS_START)
+    if isinstance(first, Witness):
+        return first
+    if first[1]:  # too little margin even at the start value: climb instead
+        return _eps_walk(attempt, _EPS_RUNGS, True, "d")
+    return _eps_walk(attempt, _EPS_SCHEDULE[1:], False, "d")
 
 
 def _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, designated, tol):

@@ -18,6 +18,7 @@ from cleanpovm.errors import ConstructionFailed, NotQuasiQubit, SingleBlock, Wro
 from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import haar_unitary, in_span, orthonormal_columns, support_frame
 from cleanpovm.povm import random_povm, random_split_povm, rank_one_supports, validate
+from cleanpovm import witness
 from cleanpovm.witness import build_witness
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -199,6 +200,15 @@ class TestNullspaceOracle:
                 totally_determined_nullspace([e1, np.zeros(3)], 3)
         assert excinfo.value.index == 1
 
+    def test_norm_overflow_and_underflow(self):
+        e1, e2, e3 = np.eye(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e200, 1e-160, 1e-170):
+                # a fourth support off every coordinate plane pins C^3 down
+                assert totally_determined_nullspace([e1, e2, e3, scale * np.ones(3)], 3) == 1
+                assert totally_determined_nullspace([scale * e1, e2, e3], 3) == 3
+
     def test_system_equals_per_support_kron_rows(self, svd_calls):
         rng = np.random.default_rng(23)
         for d in (2, 3, 4, 8, 16):
@@ -259,6 +269,17 @@ class TestNullspaceOracle:
             assert decide_clean(p).clean == (rank_one or triple)
 
 
+def leave_one_out_frame(vectors, rank_tol=1e-8):
+    """Reference route for ``is_projective_frame``: every d of the d+1
+    vectors have full rank, read off one stacked SVD of the leave-one-out
+    subsets with a relative cut at ``rank_tol``."""
+    columns = np.column_stack(vectors)
+    d = columns.shape[0]
+    subsets = [[j for j in range(d + 1) if j != leave] for leave in range(d + 1)]
+    s = np.linalg.svd(columns[:, subsets].swapaxes(0, 1), compute_uv=False)
+    return bool(np.all((s[:, 0] > 0) & (s[:, -1] > rank_tol * s[:, 0])))
+
+
 class TestProjectiveFrame:
     def test_basic_true(self):
         assert is_projective_frame([E1, E2, E1 + E2])
@@ -272,11 +293,6 @@ class TestProjectiveFrame:
         e3 = np.array([0, 0, 1], dtype=complex)
         assert not is_projective_frame([e1, e2, e3, e1 + e2])
         assert is_projective_frame([e1, e2, e3, e1 + e2 + e3])
-
-    def test_one_svd_for_every_leave_one_out_subset(self, svd_calls):
-        e1, e2, e3 = np.eye(3, dtype=complex)
-        assert not is_projective_frame([e1, e2, e3, e1 + e2])
-        assert [a.shape for a in svd_calls] == [(4, 3, 3)]
 
     def test_wrong_count(self):
         with pytest.raises(WrongCount):
@@ -298,7 +314,7 @@ class TestProjectiveFrame:
                 v = np.zeros(d, dtype=complex)
                 v[0] = 1.0
                 vectors.append(v)
-        is_projective_frame(vectors)  # the two routes are asserted to agree inside
+        assert is_projective_frame(vectors) == leave_one_out_frame(vectors)
 
     def test_routes_agree_bulk(self):
         rng = np.random.default_rng(2024)
@@ -307,7 +323,27 @@ class TestProjectiveFrame:
             vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(d + 1)]
             if trial % 3 == 0:  # plant degeneracies on a third of the trials
                 vectors[-1] = vectors[int(rng.integers(0, d))] * (1 + 0j)
-            is_projective_frame(vectors)
+            assert is_projective_frame(vectors) == leave_one_out_frame(vectors)
+
+    def test_near_tolerance_families_get_an_answer(self):
+        # the last vector lies 3e-9 to 3e-8 from the span of the first d-1,
+        # where a rank cut on singular values and the residual rule of
+        # support_frame can part ways; the answer follows support_frame
+        parted = 0
+        for d in (2, 3, 4):
+            for i in range(60):
+                rng = np.random.default_rng([4, d, i])
+                vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(d)]
+                off = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                q = np.linalg.qr(np.column_stack(vectors[: d - 1]))[0]
+                off -= q @ (q.conj().T @ off)
+                delta = 3e-9 * 10 ** (i / 59)  # 3e-9 up to 3e-8
+                last = sum(rng.standard_normal() * v for v in vectors[: d - 1])
+                vectors.append(last + delta * np.linalg.norm(last) * off / np.linalg.norm(off))
+                answer = is_projective_frame(vectors)  # no AssertionError from inside
+                assert isinstance(answer, bool)
+                parted += answer != leave_one_out_frame(vectors)
+        assert parted > 0
 
 
 def test_rank_one_with_exactly_d_generic_supports_is_not_clean():
@@ -362,6 +398,22 @@ def test_near_boundary_supports():
                 except ConstructionFailed as exc:
                     assert "lies outside" not in str(exc), (i, delta)
     assert disagreements == []
+
+
+def test_failing_case_d_search_is_short(monkeypatch):
+    """A case-d search that cannot succeed stops once its trials turn back."""
+    calls = []
+    attempt = witness._case_d_attempt
+
+    def spy(*args):
+        calls.append(args[4])  # eps
+        return attempt(*args)
+
+    monkeypatch.setattr(witness, "_case_d_attempt", spy)
+    p = near_boundary_povm(16, 3e-9)
+    with pytest.raises(ConstructionFailed, match="case-\\(d\\) eps search failed"):
+        build_witness(p, decide_clean(p))
+    assert 0 < len(calls) <= witness._EPS_HALVINGS
 
 
 def _support_families():

@@ -5,7 +5,9 @@ import pytest
 
 from cleanpovm.channel import KrausChannel, apply, spectrum_width_check
 from cleanpovm.cleanness import decide_clean
+from cleanpovm import witness
 from cleanpovm.errors import (
+    ConstructionFailed,
     NotScalar,
     PreconditionViolated,
     SingleOutcome,
@@ -123,6 +125,21 @@ class TestCaseB:
         p = validate([pm, np.eye(2) - pm])
         with pytest.raises(PreconditionViolated):
             witness_case_b(p, E1.reshape(2, 1))
+
+    def test_search_stops_at_the_first_margin_failure(self, monkeypatch):
+        # the V-support weighs 1e-5, so eps = 0.25 widens it by only
+        # 0.25^2 * 1e-5 < 1e-6; a smaller eps widens it less still
+        tried = []
+        walk = witness._eps_walk
+
+        def spy(trial, *args):
+            return walk(lambda eps: tried.append(eps) or trial(eps), *args)
+
+        monkeypatch.setattr(witness, "_eps_walk", spy)
+        p = validate([np.diag([1e-5, 0.0]), np.diag([0.0, 0.5]), np.diag([1 - 1e-5, 0.5])])
+        with pytest.raises(ConstructionFailed, match="case-\\(b\\).*widening margin 6.25e-07"):
+            build_witness(p, decide_clean(p))
+        assert tried == [0.25]
 
 
 class TestCaseC:
