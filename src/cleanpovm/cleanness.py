@@ -13,9 +13,10 @@ Two independent routes to that support condition live here:
   the basis positions whose span holds each remaining support (spans from
   :func:`~cleanpovm.linalg.support_frame`);
 * :func:`totally_determined_nullspace` — the dimension of the space of
-  operators R with R psi_i colinear to psi_i for every support, computed as
-  a nullspace of an n(d-1) x d^2 system. For spanning support families the
-  dimension is 1 exactly when the supports totally determine the space.
+  operators R with R psi_i colinear to psi_i for every support, solved for
+  the n eigenvalues of R and, near the rank cut, as the nullspace of an
+  n(d-1) x d^2 system. For spanning support families the dimension is 1
+  exactly when the supports totally determine the space.
 
 The two must agree; the test suite fuzzes that agreement.
 """
@@ -217,25 +218,39 @@ def separating_pair(
 #: Below this norm a ket's squared norm is subnormal or zero.
 _NORM_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
+#: Factor (4 decades) by which every singular value of the eigenvalue form must
+#: clear its rank cut, on either side, before that form's nullity is returned
+#: without the d^2-column system.
+_ORACLE_BAND = 1e4
+
 
 def totally_determined_nullspace(
     supports: Sequence[np.ndarray], dim: int, tol: Tolerances = DEFAULT_TOL
 ) -> int:
     """Dimension of {R : R psi_i colinear to psi_i for every support psi_i}.
 
-    Each support contributes the d-1 rows ``u_k^dagger R psi_i = 0`` for an
-    orthonormal basis {u_k} of its orthogonal complement; stacking gives an
-    n(d-1) x d^2 homogeneous system over the entries of R. The identity is
-    always a solution. For a spanning support family, nullity 1 means the
-    supports totally determine C^d; any second solution splits the space
-    into a separating pair of R-invariant subspaces, and conversely an
-    oblique projector onto V along W is a second solution.
+    R psi_i = lambda_i psi_i for all i reads R Psi = Psi diag(lambda) with
+    Psi = [psi_1 ... psi_n]. Since psi_i != 0, R = 0 forces lambda = 0, so
+    the solutions are counted as pairs (R, lambda). With one full SVD
+    Psi = U S Vh of rank r, R is fixed on the range of Psi and free on its
+    complement (d(d-r) dimensions), and lambda must satisfy
+    Vh[:r] diag(lambda) K = 0 for K = Vh[r:]^dagger, whose columns span
+    ker Psi. Hence the nullity is d(d-r) + n - rank(M), where the
+    r(n-r) x n matrix M[(a, c), i] = Vh[a, i] K[i, c] is ranked by a second
+    SVD with the same cut (M is empty when n <= r).
 
-    The system is built in one stacked pass: every complement comes from one
-    stacked SVD, and every row ``kron(conj(u_k), psi_i)`` from one broadcast
-    product. A nonzero ket whose squared norm overflows or underflows is
-    first divided by its largest entry. A zero support raises
-    :class:`ZeroElement`.
+    Both rank cuts count singular values above ``tol.rank * s_max``. The
+    eigenvalue form is returned only when every singular value of both
+    spectra lies more than 4 decades (:data:`_ORACLE_BAND`) from its cut;
+    otherwise the nullity comes from the n(d-1) x d^2 homogeneous system
+    over the entries of R (:func:`_system_nullity`). The identity is always
+    a solution. For a spanning support family, nullity 1 means the supports
+    totally determine C^d; any second solution splits the space into a
+    separating pair of R-invariant subspaces, and conversely an oblique
+    projector onto V along W is a second solution.
+
+    A nonzero ket whose squared norm overflows or underflows is first
+    divided by its largest entry. A zero support raises :class:`ZeroElement`.
     """
     d = int(dim)
     kets = np.array([as_ket(ket, d) for ket in supports]).reshape(-1, d)
@@ -252,6 +267,36 @@ def totally_determined_nullspace(
         i = int(np.argmin(norms))
         raise ZeroElement(f"support {i + 1} is zero", index=i)
     psi = kets / norms[:, None]
+    n = len(psi)
+    _, s, vh = np.linalg.svd(psi.T)
+    r = int(np.sum(s > tol.rank * s[0]))
+    near_cut, rank_m = _near_cut(s, tol), 0
+    if not near_cut and n > r:
+        m = (vh[:r, None, :] * vh[None, r:, :].conj()).reshape(-1, n)
+        t = np.linalg.svd(m, compute_uv=False)
+        rank_m = int(np.sum(t > tol.rank * t[0]))
+        near_cut = _near_cut(t, tol)
+    if near_cut:
+        return _system_nullity(psi, tol)
+    return d * (d - r) + n - rank_m
+
+
+def _near_cut(s: np.ndarray, tol: Tolerances) -> bool:
+    """Whether a value of a descending spectrum lies within ``_ORACLE_BAND`` of
+    its cut ``tol.rank * s[0]``, either way; a zero cut holds exact zeros."""
+    cut = tol.rank * s[0]
+    return bool(np.any((s >= cut / _ORACLE_BAND) & (s <= cut * _ORACLE_BAND)))
+
+
+def _system_nullity(psi: np.ndarray, tol: Tolerances) -> int:
+    """Nullity of the n(d-1) x d^2 system over the entries of R.
+
+    Each unit support psi_i contributes the d-1 rows
+    ``u_k^dagger R psi_i = 0`` for an orthonormal basis {u_k} of its
+    orthogonal complement. Every complement comes from one stacked SVD, and
+    every row ``kron(conj(u_k), psi_i)`` from one broadcast product.
+    """
+    d = psi.shape[1]
     u = orthonormal_complement(psi[:, :, None]).conj().swapaxes(1, 2)  # (n, d-1, d)
     system = (u[..., None] * psi[:, None, None, :]).reshape(-1, d * d)
     s = np.linalg.svd(system, compute_uv=False)

@@ -42,10 +42,6 @@ class ClosureViolation(CleanPovmError):
         self.residual = residual
 
 
-class SingularBasis(CleanPovmError):
-    """Supposed basis is rank-deficient at the rank tolerance."""
-
-
 class SingularSuperop(CleanPovmError):
     """Superoperator linear system is singular or numerically unusable."""
 

@@ -37,8 +37,11 @@ class Tolerances:
     * ``closure``: absolute, ``||sum_i P_i - 1||_F <= closure`` (and Kraus).
     * ``rank``: an element's rank counts eigenvalues above ``rank *
       lambda_max``; support geometry follows :func:`support_frame`, and every
-      ket membership test (:func:`in_span`) applies the same rule; SVD rank
-      cuts (the nullspace oracle) count singular values above ``rank * s_max``.
+      ket membership test (:func:`in_span`) applies the same rule. The
+      nullspace oracle's SVD rank cuts count singular values above
+      ``rank * s_max``: it keeps its eigenvalue form when every singular
+      value lies more than 4 decades from the cut, and otherwise (always
+      when ``rank >= 1e-4``) falls back to the d^2-column system.
     * ``zero``: ``validate``'s zero gate is absolute, ``||P_i||_F <= zero``;
       scalar and off-diagonal tests compare with ``zero * max(1, ||P_i||_F)``.
     """

@@ -386,7 +386,9 @@ def witness_case_b(p: Povm, v_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
     One full-rank element absorbs the closure; every other element is pushed
     through the right inverse, which inflates a designated rank-one element
     by 1 + eps^2 (support in V) or 1 + eps^2 ||A w||^2 (support w in V^perp,
-    A chosen so A w != 0). eps runs down 0.25 * 2^-k while a positivity,
+    A chosen so A w != 0). The heaviest support in V is designated when
+    weight * 0.25^2 clears the widening margin, else the heaviest support
+    overall. eps runs down 0.25 * 2^-k while a positivity,
     closure or map check fails; the first eps that misses the widening
     margin ends the search, since a smaller eps widens less.
     """
@@ -411,12 +413,16 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
         raise PreconditionViolated("need at least one rank-one and one full-rank element")
 
     u = np.column_stack([ov, operp])
-    if in_v.any():
-        designated = max((s for s, inside in zip(supports, in_v) if inside), key=lambda s: s.weight)
+    weights = np.array([s.weight for s in supports])
+    j = int(np.argmax(np.where(in_v, weights, -np.inf)))  # the heaviest support in V
+    if not in_v[j] or weights[j] * _EPS_START**2 < WIDENING_MARGIN:
+        # a V support widens by weight * eps^2, too little even at the first eps
+        j = int(np.argmax(weights))
+    designated = supports[j]
+    if in_v[j]:
         a = np.zeros((k, m), dtype=complex)
         a[:, :k] = np.eye(k)
     else:
-        designated = max(supports, key=lambda s: s.weight)  # all in V^perp
         w0 = operp.conj().T @ designated.ket
         w0 = w0 / np.linalg.norm(w0)
         # orthonormal basis of the V^perp coordinates starting at w0; A maps

@@ -16,9 +16,9 @@ from cleanpovm.cleanness import (
 )
 from cleanpovm.errors import ConstructionFailed, NotQuasiQubit, SingleBlock, WrongCount, ZeroElement
 from cleanpovm.fuzz import random_quasi_qubit_instance
-from cleanpovm.linalg import haar_unitary, in_span, orthonormal_columns, support_frame
+from cleanpovm.linalg import Tolerances, haar_unitary, in_span, orthonormal_columns, support_frame
 from cleanpovm.povm import random_povm, random_split_povm, rank_one_supports, validate
-from cleanpovm import witness
+from cleanpovm import cleanness, witness
 from cleanpovm.witness import build_witness
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -179,6 +179,25 @@ def svd_calls(monkeypatch):
     return calls
 
 
+def reference_nullity(kets, d, rank_tol=1e-8):
+    s = np.linalg.svd(kron_reference_system(kets, d), compute_uv=False)
+    return d * d - int(np.sum(s > rank_tol * s[0]))
+
+
+@pytest.fixture
+def system_runs(monkeypatch):
+    """The nullity of every fallback to the d^2-column system during the test."""
+    runs = []
+    system_nullity = cleanness._system_nullity
+
+    def spy(*args):
+        runs.append(system_nullity(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cleanness, "_system_nullity", spy)
+    return runs
+
+
 class TestNullspaceOracle:
     def test_two_orthogonal_supports(self):
         assert totally_determined_nullspace([E1, E2], 2) == 2
@@ -209,27 +228,62 @@ class TestNullspaceOracle:
                 assert totally_determined_nullspace([e1, e2, e3, scale * np.ones(3)], 3) == 1
                 assert totally_determined_nullspace([scale * e1, e2, e3], 3) == 3
 
-    def test_system_equals_per_support_kron_rows(self, svd_calls):
+    def test_system_equals_per_support_kron_rows(self, svd_calls, monkeypatch):
         rng = np.random.default_rng(23)
+        families = []
         for d in (2, 3, 4, 8, 16):
             for n in (1, d - 1, d + 3):
                 kets = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
                 kets *= rng.uniform(0.1, 10.0, (n, 1)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (n, 1)))
-                for family in (list(kets), kets):  # a list of kets, or one per row
-                    svd_calls.clear()
-                    nullity = totally_determined_nullspace(family, d)
-                    system = svd_calls[-1]
-                    assert np.array_equal(system, kron_reference_system(kets, d))
-                    s = np.linalg.svd(system, compute_uv=False)
-                    assert nullity == d * d - int(np.sum(s > 1e-8 * s[0]))
+                families.append((d, kets))
+        for d, kets in families:  # the public nullity equals the reference system's
+            assert totally_determined_nullspace(kets, d) == reference_nullity(kets, d)
+        monkeypatch.setattr(cleanness, "_ORACLE_BAND", np.inf)  # always the full system
+        for d, kets in families:
+            for family in (list(kets), kets):  # a list of kets, or one per row
+                svd_calls.clear()
+                nullity = totally_determined_nullspace(family, d)
+                assert np.array_equal(svd_calls[-1], kron_reference_system(kets, d))
+                assert nullity == reference_nullity(kets, d)
 
-    def test_two_svd_calls_whatever_the_family_size(self, svd_calls):
+    def test_at_most_two_svd_calls_whatever_the_family_size(self, svd_calls):
         rng = np.random.default_rng(29)
         for n in (1, 3, 10, 40):
             kets = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
             svd_calls.clear()
             totally_determined_nullspace(kets, 4)
-            assert len(svd_calls) == 2
+            assert 1 <= len(svd_calls) <= 2
+
+    def test_eigenvalue_form_equals_reference_system_on_fuzz_instances(self, system_runs):
+        for d in (2, 3, 5, 8, 12, 16):
+            for i in range(12):
+                _, p = random_quasi_qubit_instance(d, np.random.default_rng([31, d, i]))
+                kets = [s.ket for s in rank_one_supports(p)]
+                if not kets:
+                    continue
+                assert totally_determined_nullspace(kets, d) == reference_nullity(kets, d), (d, i)
+        assert system_runs == []  # every generic family clears the band
+
+    def test_near_cut_families_fall_back_to_the_system(self, system_runs):
+        for i in range(30):
+            kets = [s.ket for s in rank_one_supports(near_boundary_povm(i, 1e-8))]
+            runs = len(system_runs)
+            assert totally_determined_nullspace(kets, 3) == reference_nullity(kets, 3), i
+            assert len(system_runs) == runs + 1, i  # a delta of 1e-8 sits on the cut
+
+    def test_loose_rank_tolerance_always_uses_the_system(self, system_runs):
+        loose = Tolerances(rank=1e-2, zero=1e-2)
+        calls = 0
+        for d in (2, 3, 5, 8):
+            for i in range(12):
+                _, p = random_quasi_qubit_instance(d, np.random.default_rng([37, d, i]))
+                kets = [s.ket for s in rank_one_supports(p)]
+                if not kets:
+                    continue
+                nullity = totally_determined_nullspace(kets, d, loose)
+                calls += 1
+                assert len(system_runs) == calls
+                assert nullity == reference_nullity(kets, d, 1e-2), (d, i)
 
     def test_oracle_verdict_split(self):
         assert oracle_verdict(qb_not_clean()) == (False, 2)

@@ -127,7 +127,7 @@ class TestCaseB:
             witness_case_b(p, E1.reshape(2, 1))
 
     def test_search_stops_at_the_first_margin_failure(self, monkeypatch):
-        # the V-support weighs 1e-5, so eps = 0.25 widens it by only
+        # both supports weigh 1e-5, so eps = 0.25 widens either by only
         # 0.25^2 * 1e-5 < 1e-6; a smaller eps widens it less still
         tried = []
         walk = witness._eps_walk
@@ -136,10 +136,20 @@ class TestCaseB:
             return walk(lambda eps: tried.append(eps) or trial(eps), *args)
 
         monkeypatch.setattr(witness, "_eps_walk", spy)
-        p = validate([np.diag([1e-5, 0.0]), np.diag([0.0, 0.5]), np.diag([1 - 1e-5, 0.5])])
+        p = validate([np.diag([1e-5, 0.0]), np.diag([0.0, 1e-5]), np.diag([1 - 1e-5, 1 - 1e-5])])
         with pytest.raises(ConstructionFailed, match="case-\\(b\\).*widening margin 6.25e-07"):
             build_witness(p, decide_clean(p))
         assert tried == [0.25]
+
+    def test_light_v_support_passes_the_designation_to_v_perp(self):
+        # the V-support weighs 1e-5 and cannot clear the widening margin at
+        # any eps; the heavier V^perp support takes the designation instead
+        p = validate([np.diag([1e-5, 0.0]), np.diag([0.0, 0.5]), np.diag([1 - 1e-5, 0.5])])
+        w = build_witness(p, decide_clean(p))
+        report = verify_witness(p, w)
+        assert (w.case_tag, w.widened_index, w.epsilon) == ("b", 1, 0.25)
+        assert report.passed
+        assert report.widening_margin == pytest.approx(0.03125, rel=1e-12)
 
 
 class TestCaseC:
