@@ -28,8 +28,6 @@ from .linalg import (
     as_operator,
     eig_hermitian,
     hermitian_part,
-    haar_unitary,
-    psd_sqrt,
     superop_matrix,
     superop_solve,
 )
@@ -68,11 +66,6 @@ class KrausChannel:
         total = sum(k.conj().T @ k for k in self.kraus)
         return float(np.linalg.norm(total - np.eye(self.dim)))
 
-    def identity_distance(self) -> float:
-        """Smallest HS distance from any Kraus operator to the identity."""
-        eye = np.eye(self.dim)
-        return min(float(np.linalg.norm(eye - k)) for k in self.kraus)
-
 
 def hs_norm(matrix) -> float:
     """Hilbert-Schmidt norm sqrt(sum |M_ij|^2)."""
@@ -102,11 +95,6 @@ def apply_to_povm(channel: KrausChannel, povm: Povm, tol: Tolerances = DEFAULT_T
 def superop(channel: KrausChannel) -> np.ndarray:
     """d^2 x d^2 matrix of the channel in the row-major vec convention."""
     return superop_matrix(channel.kraus)
-
-
-def induced_norm(superop_mat) -> float:
-    """HS-to-HS operator norm of a superoperator = spectral norm of its matrix."""
-    return float(np.linalg.norm(np.asarray(superop_mat, dtype=complex), 2))
 
 
 @dataclass(frozen=True)
@@ -209,34 +197,3 @@ def spectrum_width_check(
         float(w_in[0]), float(w_in[-1]), float(w_out[0]), float(w_out[-1]), tolerance
     )
 
-
-def random_channel(dim: int, n_kraus: int, rng: np.random.Generator) -> KrausChannel:
-    """Random channel: Ginibre Kraus operators renormalized to satisfy closure."""
-    gs = [
-        (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-        for _ in range(n_kraus)
-    ]
-    total = hermitian_part(sum(g.conj().T @ g for g in gs))
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return KrausChannel.build([g @ inv_sqrt for g in gs])
-
-
-def near_identity_channel(dim: int, epsilon: float, rng: np.random.Generator) -> KrausChannel:
-    """Channel whose first Kraus operator sits at HS distance exactly ``epsilon`` from 1.
-
-    ``K_1 = 1 - eps T`` with T PSD of unit HS norm; the deficit
-    ``1 - K_1^dagger K_1 = 2 eps T - eps^2 T^2`` is PSD for eps <= 2 and is
-    absorbed into a second Kraus operator (rotated by a random unitary).
-    """
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
-    t = hermitian_part(
-        (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    )
-    t = t @ t.conj().T
-    t = t / np.linalg.norm(t)
-    k1 = np.eye(dim) - epsilon * t
-    deficit = hermitian_part(np.eye(dim) - k1.conj().T @ k1)
-    k2 = haar_unitary(dim, rng) @ psd_sqrt(deficit)
-    return KrausChannel.build([k1, k2])

@@ -34,8 +34,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_ket,
-    in_span,
-    orthonormal_columns,
     orthonormal_complement,
     support_frame,
 )
@@ -188,31 +186,22 @@ def _supports_do_not_span(povm, supports, frame) -> CleannessVerdict:
     return CleannessVerdict(False, VerdictReason.SUPPORTS_DO_NOT_SPAN, partition, blocks)
 
 
-def separating_pair(
-    partition: BlockPartition,
-    supports: Optional[Sequence[np.ndarray]] = None,
-    tol: Tolerances = DEFAULT_TOL,
-):
+def separating_pair(partition: BlockPartition):
     """Supplementary proper subspaces (V, W) splitting the partition.
 
-    V is spanned by the first block's basis columns, W by all the others.
-    When the rank-one support kets are supplied, each is asserted to lie in
-    V or in W under :func:`~cleanpovm.linalg.in_span`'s rule. Returns (V, W)
-    as matrices of basis columns.
+    V is spanned by the first block's basis columns, W by all the others;
+    returns (V, W) as matrices of basis columns. The witness constructions
+    read V's and W's orthonormal bases, and whether V + W is supplementary,
+    off :func:`~cleanpovm.linalg.support_frame`, the rule that made the
+    partition, so every basis direction is kept. Which support in W an
+    oblique (case ``d``) witness widens is decided per eps trial, as the one
+    whose eigenvalue gains most.
     """
     if len(partition.blocks) < 2:
         raise SingleBlock("partition has a single block; no separating pair")
     first = partition.blocks[0]
     rest = [pos for block in partition.blocks[1:] for pos in block]
-    v = partition.basis_kets[:, list(first)]
-    w = partition.basis_kets[:, sorted(rest)]
-    if supports is not None:
-        kets = np.array([as_ket(ket, partition.dim) for ket in supports]).reshape(-1, partition.dim)
-        held = in_span(kets, orthonormal_columns(v, tol), tol)
-        held |= in_span(kets, orthonormal_columns(w, tol), tol)
-        if not held.all():
-            raise SingleBlock(f"support {int(np.argmin(held)) + 1} lies in neither subspace")
-    return v, w
+    return partition.basis_kets[:, list(first)], partition.basis_kets[:, sorted(rest)]
 
 
 #: Below this norm a ket's squared norm is subnormal or zero.

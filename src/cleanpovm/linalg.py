@@ -7,8 +7,12 @@ Conventions fixed here and used everywhere else in the package:
   so ``vec(X @ A @ Y) = kron(X, Y.T) @ vec(A)``;
 * support geometry has one dependence rule, applied by :func:`support_frame`:
   a vector lies in the span of a set iff its residual against that span is
-  at most ``tol.rank`` times its own norm. :class:`Tolerances` lists how
-  every other threshold is scaled.
+  at most ``tol.rank`` times its own norm. It decides every subspace basis
+  and dimension and every supplementarity test of the cleanness decision
+  and the witness constructions; the nullspace oracle's SVD cuts are the
+  only other rank cut on a family of kets, kept apart as the independent
+  cross-check.
+  :class:`Tolerances` lists how every other threshold is scaled.
 """
 
 from __future__ import annotations
@@ -36,12 +40,14 @@ class Tolerances:
     * ``psd``: ``lambda_min >= -psd * max(1, lambda_max)``.
     * ``closure``: absolute, ``||sum_i P_i - 1||_F <= closure`` (and Kraus).
     * ``rank``: an element's rank counts eigenvalues above ``rank *
-      lambda_max``; support geometry follows :func:`support_frame`, and every
-      ket membership test (:func:`in_span`) applies the same rule. The
-      nullspace oracle's SVD rank cuts count singular values above
-      ``rank * s_max``: it keeps its eigenvalue form when every singular
-      value lies more than 4 decades from the cut, and otherwise (always
-      when ``rank >= 1e-4``) falls back to the d^2-column system.
+      lambda_max``; :func:`support_frame` decides every subspace basis and
+      supplementarity test of support geometry, and every ket membership
+      test (:func:`in_span`) applies the same rule. The only other rank
+      cuts on kets are the nullspace oracle's SVDs, which count singular
+      values above ``rank * s_max``: it keeps its eigenvalue form when
+      every singular value lies more than 4 decades from the cut, and
+      otherwise (always when ``rank >= 1e-4``) falls back to the d^2-column
+      system.
     * ``zero``: ``validate``'s zero gate is absolute, ``||P_i||_F <= zero``;
       scalar and off-diagonal tests compare with ``zero * max(1, ||P_i||_F)``.
     """
@@ -200,10 +206,6 @@ def vec(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=complex).reshape(-1)
 
 
-def unvec(x, dim: int) -> np.ndarray:
-    return np.asarray(x, dtype=complex).reshape(dim, dim)
-
-
 def superop_matrix(kraus) -> np.ndarray:
     """d^2 x d^2 matrix of ``A -> sum_a K_a^dagger A K_a`` in the row-major vec convention."""
     ops = [as_operator(k) for k in kraus]
@@ -247,18 +249,6 @@ def superop_solve(superop, target, residual_tol: float = 1e-8) -> np.ndarray:
     return hermitian_part(x.T.reshape(t.shape))
 
 
-def orthonormal_columns(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the span of the given vectors."""
-    m = vectors if isinstance(vectors, np.ndarray) else np.column_stack([as_ket(v) for v in vectors])
-    if m.ndim != 2:
-        raise DimensionMismatch("expected a matrix of column vectors")
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
-    rank = int(np.sum(s > tol.rank * s[0]))
-    return u[:, :rank]
-
-
 def orthonormal_complement(q: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the column span of ``q``.
 
@@ -280,11 +270,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     phases = np.diag(r).copy()
     phases = phases / np.abs(phases)
     return q * phases
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitian_part(z)
 
 
 def random_psd(dim: int, rng: np.random.Generator, ridge: float = 0.0) -> np.ndarray:

@@ -21,11 +21,14 @@ clean. Four constructions cover all not-clean quasi-qubit POVMs:
   form for rank-one elements.
 
 Cases b-d share one reading of the separating pair, made once per witness:
-every support's side (V or V^perp) under the rule of
-:func:`~cleanpovm.linalg.support_frame`, and every element's off-diagonal
-block. They also share one search over their deformation parameter: trials
-along a fixed schedule, stopped at the first failure that asks to move the
-other way. Cases b and d run eps down 0.25 * 2^-k while positivity, closure
+V's orthonormal basis from :func:`~cleanpovm.linalg.support_frame`, the rule
+that made the partition, every support's side (V or V^perp) under the same
+rule, and every element's off-diagonal block. Case d reads W's basis, and
+tests V + W for supplementarity, under that rule too; each of its trials
+widens the W-support whose eigenvalue gains most at that eps. The cases
+also share one search over their deformation parameter: trials along a
+fixed schedule, stopped at the first failure that asks to move the other
+way. Cases b and d run eps down 0.25 * 2^-k while positivity, closure
 or a residual check fails, and stop once the widening margin is missed,
 since a smaller eps only widens less; case d climbs a few fixed values
 instead when eps = 0.25 already misses the margin.
@@ -65,13 +68,14 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    as_ket,
     hermitian_part,
     in_span,
-    orthonormal_columns,
     orthonormal_complement,
     psd_sqrt,
     superop_matrix,
     superop_solve,
+    support_frame,
 )
 from .povm import Povm, RankOneSupport, rank_one_supports, validate
 
@@ -251,9 +255,23 @@ class _Split(NamedTuple):
     block_diagonal: np.ndarray | None
 
 
+def _kets(vectors, d: int) -> np.ndarray:
+    """A subspace's spanning kets, one per row.
+
+    An array holds its kets as columns (one ket when 1-D); any other
+    sequence lists them.
+    """
+    if isinstance(vectors, np.ndarray):
+        m = vectors.reshape(-1, 1) if vectors.ndim == 1 else vectors
+        if m.ndim != 2 or m.shape[0] != d:
+            raise DimensionMismatch(f"expected {d}-dimensional column kets, got shape {vectors.shape}")
+        return m.T
+    return np.array([as_ket(v, d) for v in vectors]).reshape(-1, d)
+
+
 def _split(p: Povm, v_kets, tol: Tolerances) -> _Split:
     d = p.dim
-    ov = orthonormal_columns(v_kets, tol)
+    ov = support_frame(_kets(v_kets, d), tol).q
     operp = orthonormal_complement(ov)
     pi_v = hermitian_part(ov @ ov.conj().T)
     supports = rank_one_supports(p)
@@ -557,18 +575,22 @@ def _case_c_bisect(attempt, s_max: float) -> Witness:
 def witness_case_d(p: Povm, v_kets, w_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
     """Oblique separating pair: supports in V or W, some W-support not in V^perp.
 
-    In an orthonormal basis adapted to V, a matrix A is read off a basis of
-    W normalized so its V^perp components are the identity; the V^perp basis
-    is rotated so A's columns are orthogonal, making [[0, A], [0, 1]] an
-    orthogonal-column map onto W. The three Kraus operators built from A and
-    the PSD square root B(eps) close exactly; full-rank elements are pulled
-    back through a d^2 x d^2 linear solve and rank-one elements in closed
-    form, the two cross-checked against each other. The designated W-support
-    shrinks by a factor C < 1, widening its eigenvalue to weight / C. eps
-    runs down 0.25 * 2^-k while the solve, closure or positivity fails, and
-    the first eps whose contraction or margin falls short ends the search;
-    if eps = 0.25 already falls short, eps climbs 0.4, 0.55, ..., 0.95
-    until a check asks for a smaller one.
+    V and W are supplementary when :func:`~cleanpovm.linalg.support_frame`
+    selects d of their kets together; a support lies in W under the same
+    rule, against the orthonormal basis of W's frame. In an orthonormal
+    basis adapted to V, a matrix A is read off a basis of W normalized so
+    its V^perp components are the identity; the V^perp basis is rotated so
+    A's columns are orthogonal, making [[0, A], [0, 1]] an orthogonal-column
+    map onto W. The three Kraus operators built from A and the PSD square
+    root B(eps) close exactly; full-rank elements are pulled back through a
+    d^2 x d^2 linear solve and rank-one elements in closed form, the two
+    cross-checked against each other. Each trial maps every support to a
+    multiple C_i of its own projector; of the W-supports not in V^perp with
+    C_i < 1, it widens the one whose eigenvalue weight / C_i gains most.
+    eps runs down 0.25 * 2^-k while the solve, closure or positivity fails,
+    and the first eps whose contractions or margin fall short ends the
+    search; if eps = 0.25 already falls short, eps climbs 0.4, 0.55, ...,
+    0.95 until a check asks for a smaller one.
     """
     return _case_d(p, _split(p, v_kets, tol), w_kets, tol)
 
@@ -577,18 +599,15 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     d = p.dim
     ov, operp = split.ov, split.operp
     k, m = ov.shape[1], operp.shape[1]
-    bw = np.asarray(w_kets, dtype=complex)
-    if bw.ndim == 1:
-        bw = bw.reshape(d, 1)
-    if bw.shape[1] != m:
+    w_rows = _kets(w_kets, d)
+    if len(w_rows) != m:
         raise PreconditionViolated(
-            f"W has {bw.shape[1]} basis vectors, expected {m} for a supplement of V"
+            f"W has {len(w_rows)} basis vectors, expected {m} for a supplement of V"
         )
-    stacked = np.column_stack([ov, bw])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    if s[-1] <= tol.rank * s[0]:
+    if len(support_frame(np.concatenate([ov.T, w_rows]), tol).selected) < d:
         raise PreconditionViolated("V and W are not supplementary")
 
+    bw = w_rows.T.astype(complex)
     cross = operp.conj().T @ bw
     try:
         psi_map = (ov.conj().T @ bw) @ np.linalg.inv(cross)  # V^perp coords -> V coords of W
@@ -600,17 +619,12 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     u = np.column_stack([ov, operp])
 
     supports = split.supports
-    in_w = in_span(split.kets, orthonormal_columns(bw, tol), tol)
+    in_w = in_span(split.kets, support_frame(w_rows, tol).q, tol)
     if not np.all(split.in_v | in_w):
         raise PreconditionViolated("a rank-one support lies outside V and W")
-    # the W-support with the largest component in V is the one to shrink; the
-    # overlaps are taken ket by ket, since a batched product rounds them
-    # differently and can break a tie between colinear supports the other way
-    overlap = np.array([np.linalg.norm(ov.conj().T @ s_.ket) for s_ in supports])
-    j = int(np.argmax(np.where(in_w, overlap, -1.0))) if supports else 0
-    if not supports or not in_w[j] or split.in_vperp[j]:
+    widenable = {s_.index for s_, ok in zip(supports, in_w & ~split.in_vperp) if ok}
+    if not widenable:
         raise PreconditionViolated("no rank-one support lies in W away from V^perp")
-    designated = supports[j]
 
     full = [i for i, e in enumerate(p.elements) if e.rank == d]
     rank_one_idx = {s_.index: s_ for s_ in supports}
@@ -618,7 +632,7 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     aa_top = float(np.linalg.eigvalsh(hermitian_part(aa))[-1])
 
     def attempt(eps):
-        return _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, designated, tol)
+        return _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, widenable, tol)
 
     first = attempt(_EPS_START)
     if isinstance(first, Witness):
@@ -628,12 +642,14 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     return _eps_walk(attempt, _EPS_SCHEDULE[1:], False, "d")
 
 
-def _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, designated, tol):
+def _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, widenable, tol):
     """One eps trial for case (d).
 
-    Returns a Witness, or ``(problem, needs_larger)`` where ``needs_larger``
-    says which way to move eps: the widening margin and the contraction
-    want eps larger, everything else wants it smaller.
+    Of the supports indexed by ``widenable`` whose contraction c_i is below
+    1, the one whose eigenvalue gains most, weight / c_i - weight, is
+    widened. Returns a Witness, or ``(problem, needs_larger)`` where
+    ``needs_larger`` says which way to move eps: the widening margin and the
+    contraction want eps larger, everything else wants it smaller.
     """
     d = p.dim
     k, m = a.shape
@@ -670,7 +686,7 @@ def _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, designated, tol):
 
     q_solve = solved[1:]
     q_mats = list(q_solve)
-    c_designated = None
+    widened, margin = None, -math.inf
     for i, s_ in rank_one_idx.items():
         psi_ad = u.conj().T @ s_.ket
         phi_ad = np.linalg.solve(m3, psi_ad)
@@ -687,12 +703,12 @@ def _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, designated, tol):
         ):
             return f"closed form and linear solve disagree at eps={eps}", False
         q_mats[i] = hermitian_part(q_direct)
-        if i == designated.index:
-            c_designated = c_i
+        gain = s_.weight / c_i - s_.weight
+        if i in widenable and c_i < 1.0 - 1e-9 and gain > margin:
+            widened, margin = i, gain
 
-    if c_designated is None or c_designated >= 1.0 - 1e-9:
-        return f"designated contraction C={c_designated} not below 1 at eps={eps}", True
-    margin = designated.weight / c_designated - designated.weight
+    if widened is None:
+        return f"no widenable support contracts below 1 at eps={eps}", True
     if margin < WIDENING_MARGIN:
         return f"widening margin {margin:.2e} below contract at eps={eps}", True
 
@@ -701,4 +717,4 @@ def _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, designated, tol):
             return f"full-rank image loses positivity at eps={eps}", False
 
     q = validate(q_mats, tol, p.labels)
-    return Witness(q, channel, designated.index, "d", eps, MAX_EIG_INCREASE)
+    return Witness(q, channel, widened, "d", eps, MAX_EIG_INCREASE)

@@ -16,7 +16,7 @@ from cleanpovm.cleanness import (
 )
 from cleanpovm.errors import ConstructionFailed, NotQuasiQubit, SingleBlock, WrongCount, ZeroElement
 from cleanpovm.fuzz import random_quasi_qubit_instance
-from cleanpovm.linalg import Tolerances, haar_unitary, in_span, orthonormal_columns, support_frame
+from cleanpovm.linalg import Tolerances, haar_unitary, in_span, support_frame
 from cleanpovm.povm import random_povm, random_split_povm, rank_one_supports, validate
 from cleanpovm import cleanness, witness
 from cleanpovm.witness import build_witness
@@ -28,6 +28,12 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 
 def projector(ket):
     return np.outer(ket, ket.conj())
+
+
+def held_by_pair(kets, v, w):
+    """Whether each ket lies in V or in W, both read off ``support_frame``."""
+    kets = np.array(kets).reshape(-1, v.shape[0])
+    return in_span(kets, support_frame(v.T).q) | in_span(kets, support_frame(w.T).q)
 
 
 def qb_not_clean():
@@ -88,7 +94,8 @@ class TestDecideClean:
         p = validate([0.5 * projector(E1), np.eye(2) - 0.5 * projector(E1)])
         verdict = decide_clean(p)
         assert not verdict.clean and verdict.reason is VerdictReason.SUPPORTS_DO_NOT_SPAN
-        v, w = separating_pair(verdict.partition, [E1])
+        v, w = separating_pair(verdict.partition)
+        assert held_by_pair([E1], v, w).all()
         assert np.allclose(v[:, 0], E1)
         assert abs(w[:, 0].conj() @ E1) <= 1e-12
 
@@ -115,7 +122,8 @@ class TestDecideClean:
 class TestSeparatingPair:
     def test_two_singletons(self):
         verdict = decide_clean(qb_not_clean())
-        v, w = separating_pair(verdict.partition, [E1, E2])
+        v, w = separating_pair(verdict.partition)
+        assert held_by_pair([E1, E2], v, w).all()
         assert np.allclose(v[:, 0], E1) and np.allclose(w[:, 0], E2)
 
     def test_three_dim_blocks(self):
@@ -149,7 +157,7 @@ class TestSeparatingPair:
             if verdict.separating_pair is None or verdict.partition is None:
                 continue
             kets = [s.ket for s in rank_one_supports(p)]
-            separating_pair(verdict.partition, kets)  # raises on a stray support
+            assert held_by_pair(kets, *separating_pair(verdict.partition)).all()
             checked += 1
 
 
@@ -474,21 +482,19 @@ def _support_families():
     rng = np.random.default_rng(57)
     for _ in range(300):
         _, p = random_quasi_qubit_instance(int(rng.integers(2, 6)), rng)
-        yield True, p
+        yield p
     for delta in (1e-9, 3e-9, 1e-8, 3e-8):
         for i in range(150):
-            yield False, near_boundary_povm(i, delta)
+            yield near_boundary_povm(i, delta)
 
 
 def test_in_span_agrees_with_support_frame():
     """Each support lies, under ``in_span``, in the span of the basis kets
-    that ``support_frame`` assigns it: in a QR basis of those kets always,
-    and in their ``orthonormal_columns`` basis, the rule the witness's V
-    basis follows, whenever that basis keeps every direction. Its SVD cut
-    drops a direction of some nearly dependent near-boundary families,
-    never of a generic one."""
+    that ``support_frame`` assigns it: in a QR basis of those kets, and in
+    the ``support_frame`` basis of those kets, the one the witness reads V
+    and W from, which keeps every direction."""
     checked = 0
-    for generic, p in _support_families():
+    for p in _support_families():
         kets = np.array([s.ket for s in rank_one_supports(p)])
         if not len(kets):
             continue
@@ -496,10 +502,8 @@ def test_in_span_agrees_with_support_frame():
         for ket, span in zip(kets, frame.spans):
             columns = kets[[frame.selected[pos] for pos in span]].T
             assert in_span(ket, np.linalg.qr(columns)[0]).all()
-            basis = orthonormal_columns(columns)
-            if basis.shape[1] == len(span):
-                assert in_span(ket, basis).all()
-            else:
-                assert not generic
+            basis = support_frame(columns.T).q
+            assert basis.shape[1] == len(span)
+            assert in_span(ket, basis).all()
             checked += 1
     assert checked > 3000

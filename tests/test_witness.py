@@ -14,7 +14,7 @@ from cleanpovm.errors import (
     VerdictIsClean,
 )
 from cleanpovm.fuzz import random_quasi_qubit_instance
-from cleanpovm.linalg import haar_unitary, hermitian_part, random_psd
+from cleanpovm.linalg import Tolerances, haar_unitary, hermitian_part, random_psd
 from cleanpovm.povm import random_povm, random_split_povm, validate
 from cleanpovm.witness import (
     Witness,
@@ -316,6 +316,31 @@ class TestCaseD:
         report = verify_witness(p, w)
         assert report.passed
         assert report.widening_margin >= 1e-6
+
+    def test_light_w_support_passes_the_widening_to_a_heavier_one(self):
+        # element 3's support lies in W but weighs 3.5e-7, too little to widen
+        # by 1e-6 at eps = 0.125; the trial widens element 4 instead
+        p = random_split_povm(3, 1, 1, 2, [61, 263, 1], oblique=True)
+        mats = [e.matrix for e in p.elements]
+        mats[2] = 3.5e-7 * projector(p.elements[2].support)
+        mats[1] = np.eye(3) - mats[0] - mats[2] - mats[3]
+        p = validate(mats)
+        w = build_witness(p, decide_clean(p))
+        report = verify_witness(p, w)
+        assert (w.case_tag, w.widened_index, w.epsilon) == ("d", 3, 0.125)
+        assert report.passed
+        assert report.widening_margin == pytest.approx(0.0221, abs=1e-4)
+
+
+@pytest.mark.parametrize("seed", [[7, 12, 4], [7, 15, 2], [21, 6, 42]])
+def test_coarse_tolerance_split_keeps_every_direction(seed):
+    # V, and V and W together, keep every direction that the partition's
+    # dependence rule selected, also where singular values sit near the cut
+    tol = Tolerances(rank=1e-2, zero=1e-2)
+    _, p = random_quasi_qubit_instance(seed[1], np.random.default_rng(seed))
+    verdict = decide_clean(p, tol)
+    assert not verdict.clean
+    assert verify_witness(p, build_witness(p, verdict, tol), tol).passed
 
 
 class TestBuildWitnessDispatch:
