@@ -2,9 +2,10 @@
 
 A channel acts on operators as ``E(A) = sum_a K_a^dagger A K_a`` with the
 closure ``sum_a K_a^dagger K_a = 1`` (so E is unital: E(1) = 1). Channels
-never widen the spectrum of a Hermitian operator; a channel with one Kraus
-operator close to the identity can be inverted as a linear map on operators,
-which is the workhorse behind witness construction.
+never widen the spectrum of a Hermitian operator. A channel with one Kraus
+operator close to the identity can be inverted as a linear map on operators
+by a d^2 x d^2 linear solve; witness construction inverts its own channels
+in closed form instead, and tests use this solve as their reference.
 """
 
 from __future__ import annotations

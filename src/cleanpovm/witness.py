@@ -16,9 +16,9 @@ clean. Four constructions cover all not-clean quasi-qubit POVMs:
   in closed form from the positivity bound of each rescaled element (half
   the bound, or closer to it when the widening margin needs more);
 * case ``d`` — an oblique split V + W (supports confined to V and W, some
-  W-support not orthogonal to V): a three-operator channel whose inverse is
-  taken by a d^2 x d^2 linear solve for full-rank elements and in closed
-  form for rank-one elements.
+  W-support not orthogonal to V): a three-operator channel that is block
+  upper-triangular in a basis adapted to V, inverted block by block in
+  closed form on every element.
 
 Cases b-d share one reading of the separating pair, made once per witness:
 V's orthonormal basis from :func:`~cleanpovm.linalg.support_frame`, the rule
@@ -28,8 +28,8 @@ tests V + W for supplementarity, under that rule too; each of its trials
 widens the W-support whose eigenvalue gains most at that eps. The cases
 also share one search over their deformation parameter: trials along a
 fixed schedule, stopped at the first failure that asks to move the other
-way. Cases b and d run eps down 0.25 * 2^-k while positivity, closure
-or a residual check fails, and stop once the widening margin is missed,
+way. Cases b and d run eps down 0.25 * 2^-k while closure, the map
+residual or positivity fails, and stop once the widening margin is missed,
 since a smaller eps only widens less; case d climbs a few fixed values
 instead when eps = 0.25 already misses the margin.
 
@@ -62,7 +62,6 @@ from .errors import (
     NotScalar,
     PreconditionViolated,
     SingleOutcome,
-    SingularSuperop,
     VerdictIsClean,
 )
 from .linalg import (
@@ -73,8 +72,6 @@ from .linalg import (
     in_span,
     orthonormal_complement,
     psd_sqrt,
-    superop_matrix,
-    superop_solve,
     support_frame,
 )
 from .povm import Povm, RankOneSupport, rank_one_supports, validate
@@ -148,6 +145,8 @@ def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> 
         raise DimensionMismatch("witness does not match the target POVM shape")
     if witness.channel.dim != p.dim:
         raise DimensionMismatch("channel dimension does not match the POVM")
+    if not 0 <= witness.widened_index < p.n_outcomes:
+        raise DimensionMismatch(f"widened index {witness.widened_index} is outside the POVM")
 
     try:
         validate([e.matrix for e in witness.q.elements], tol, witness.q.labels)
@@ -582,15 +581,16 @@ def witness_case_d(p: Povm, v_kets, w_kets, tol: Tolerances = DEFAULT_TOL) -> Wi
     its V^perp components are the identity; the V^perp basis is rotated so
     A's columns are orthogonal, making [[0, A], [0, 1]] an orthogonal-column
     map onto W. The three Kraus operators built from A and the PSD square
-    root B(eps) close exactly; full-rank elements are pulled back through a
-    d^2 x d^2 linear solve and rank-one elements in closed form, the two
-    cross-checked against each other. Each trial maps every support to a
-    multiple C_i of its own projector; of the W-supports not in V^perp with
-    C_i < 1, it widens the one whose eigenvalue weight / C_i gains most.
-    eps runs down 0.25 * 2^-k while the solve, closure or positivity fails,
-    and the first eps whose contractions or margin fall short ends the
-    search; if eps = 0.25 already falls short, eps climbs 0.4, 0.55, ...,
-    0.95 until a check asks for a smaller one.
+    root B(eps) close exactly, and in this basis the channel is block
+    upper-triangular, so every element is pulled back in closed form:
+    X_22 = Y_22, X_12 = B^-1 Y_12 / (1 - eps^2) and
+    X_11 = B^-1 (Y_11 - alpha (A X_21 B + B X_12 A^dagger) - beta A X_22 A^dagger) B^-1
+    for scalars alpha(eps), beta(eps); a rank-one element pulls back to a
+    rank-one element. Of the W-supports not in V^perp, each trial widens the
+    one whose maximum eigenvalue gains most. eps runs down 0.25 * 2^-k while
+    closure, the map residual or positivity fails, and the first eps whose
+    margin falls short ends the search; if eps = 0.25 already falls short,
+    eps climbs 0.4, 0.55, ..., 0.95 until a check asks for a smaller one.
     """
     return _case_d(p, _split(p, v_kets, tol), w_kets, tol)
 
@@ -622,17 +622,14 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     in_w = in_span(split.kets, support_frame(w_rows, tol).q, tol)
     if not np.all(split.in_v | in_w):
         raise PreconditionViolated("a rank-one support lies outside V and W")
-    widenable = {s_.index for s_, ok in zip(supports, in_w & ~split.in_vperp) if ok}
+    widenable = [s_.index for s_, ok in zip(supports, in_w & ~split.in_vperp) if ok]
     if not widenable:
         raise PreconditionViolated("no rank-one support lies in W away from V^perp")
 
-    full = [i for i, e in enumerate(p.elements) if e.rank == d]
-    rank_one_idx = {s_.index: s_ for s_ in supports}
-    aa = a @ a.conj().T
-    aa_top = float(np.linalg.eigvalsh(hermitian_part(aa))[-1])
+    aa_top = float(np.linalg.eigvalsh(hermitian_part(a @ a.conj().T))[-1])
 
     def attempt(eps):
-        return _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, widenable, tol)
+        return _case_d_attempt(p, u, a, aa_top, eps, widenable, tol)
 
     first = attempt(_EPS_START)
     if isinstance(first, Witness):
@@ -642,33 +639,32 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     return _eps_walk(attempt, _EPS_SCHEDULE[1:], False, "d")
 
 
-def _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, widenable, tol):
+def _case_d_attempt(p, u, a, aa_top, eps, widenable, tol):
     """One eps trial for case (d).
 
-    Of the supports indexed by ``widenable`` whose contraction c_i is below
-    1, the one whose eigenvalue gains most, weight / c_i - weight, is
-    widened. Returns a Witness, or ``(problem, needs_larger)`` where
-    ``needs_larger`` says which way to move eps: the widening margin and the
-    contraction want eps larger, everything else wants it smaller.
+    Pulls every element back through the trial channel's block inverse and
+    checks what a case-(b) trial checks, in this order: closure, the map
+    residual, the widening margin of the support in ``widenable`` whose
+    maximum eigenvalue gains most, and positivity. Returns a Witness, or
+    ``(problem, needs_larger)`` where ``needs_larger`` says which way to move
+    eps: the widening margin wants eps larger, everything else smaller.
     """
     d = p.dim
     k, m = a.shape
-    coeff = 1.0 / (1.0 - eps**2) ** 2 - 1.0  # closure forces B^2 = 1 - coeff A A^dagger
+    t = eps**2
+    coeff = 1.0 / (1.0 - t) ** 2 - 1.0  # closure forces B^2 = 1 - coeff A A^dagger
     if coeff * aa_top >= 1.0 - 1e-9:
         return f"B(eps) undefined at eps={eps}", False
     b_mat = psd_sqrt(np.eye(k) - coeff * (a @ a.conj().T), tol)
 
     r_v = np.zeros((d, d), dtype=complex)
     r_v[:k, :k] = b_mat
-    r_v[:k, k:] = -a / (1.0 - eps**2)
+    r_v[:k, k:] = -a / (1.0 - t)
     r_w = np.zeros((d, d), dtype=complex)
     r_w[:k, k:] = a
     r_w[k:, k:] = np.eye(m)
-    m1 = eps * r_v
-    m2 = eps * r_w
-    m3 = math.sqrt(1.0 - eps**2) * (r_v + r_w)
-
-    kraus = [u @ mk.conj().T @ u.conj().T for mk in (m1, m2, m3)]
+    m3 = math.sqrt(1.0 - t) * (r_v + r_w)
+    kraus = [u @ mk.conj().T @ u.conj().T for mk in (eps * r_v, eps * r_w, m3)]
     try:
         channel = KrausChannel.build(kraus, tol)
     except ClosureViolation as exc:
@@ -676,45 +672,30 @@ def _case_d_attempt(p, u, a, aa_top, eps, full, rank_one_idx, widenable, tol):
     if channel.closure_residual() > CLOSURE_RESIDUAL_TOL:
         return f"closure residual above contract at eps={eps}", False
 
-    targets = np.stack([np.eye(d)] + [e.matrix for e in p.elements])
-    try:
-        solved = superop_solve(superop_matrix(channel.kraus), targets, MAP_RESIDUAL_TOL)
-    except SingularSuperop as exc:
-        return f"{exc} at eps={eps}", False
-    if np.linalg.norm(solved[0] - np.eye(d)) > MAP_RESIDUAL_TOL:
-        return f"identity probe failed at eps={eps}", False
+    # in u, E(X) = sum m X m^dagger is block upper-triangular: solve it block by block
+    mats = np.stack([e.matrix for e in p.elements])
+    y = u.conj().T @ mats @ u
+    b_inv = np.linalg.inv(b_mat)
+    alpha = -t / (1.0 - t) - t
+    beta = t / (1.0 - t) ** 2 + t + t**2 / (1.0 - t)
+    x = np.empty_like(y)
+    x[:, k:, k:] = y[:, k:, k:]
+    x[:, :k, k:] = b_inv @ y[:, :k, k:] / (1.0 - t)
+    x[:, k:, :k] = x[:, :k, k:].conj().swapaxes(-1, -2)
+    cross = a @ x[:, k:, :k] @ b_mat  # A X21 B; its adjoint is B X12 A^dagger
+    rhs = y[:, :k, :k] - alpha * (cross + cross.conj().swapaxes(-1, -2))
+    x[:, :k, :k] = b_inv @ (rhs - beta * (a @ x[:, k:, k:] @ a.conj().T)) @ b_inv
+    q_mats = hermitian_part(u @ x @ u.conj().T)
 
-    q_solve = solved[1:]
-    q_mats = list(q_solve)
-    widened, margin = None, -math.inf
-    for i, s_ in rank_one_idx.items():
-        psi_ad = u.conj().T @ s_.ket
-        phi_ad = np.linalg.solve(m3, psi_ad)
-        phi = u @ phi_ad
-        phi = phi / np.linalg.norm(phi)
-        image = apply(channel, np.outer(phi, phi.conj()))
-        c_i = float(np.trace(image).real)
-        target = c_i * np.outer(s_.ket, s_.ket.conj())
-        if np.linalg.norm(image - target) > MAP_RESIDUAL_TOL * max(1.0, c_i):
-            return f"rank-one image not colinear at eps={eps}", False
-        q_direct = (s_.weight / c_i) * np.outer(phi, phi.conj())
-        if np.linalg.norm(q_direct - q_solve[i]) > MAP_RESIDUAL_TOL * max(
-            1.0, np.linalg.norm(q_direct)
-        ):
-            return f"closed form and linear solve disagree at eps={eps}", False
-        q_mats[i] = hermitian_part(q_direct)
-        gain = s_.weight / c_i - s_.weight
-        if i in widenable and c_i < 1.0 - 1e-9 and gain > margin:
-            widened, margin = i, gain
-
-    if widened is None:
-        return f"no widenable support contracts below 1 at eps={eps}", True
-    if margin < WIDENING_MARGIN:
-        return f"widening margin {margin:.2e} below contract at eps={eps}", True
-
-    for i in full:
-        if not _psd_within_floor(np.linalg.eigvalsh(q_mats[i])):
-            return f"full-rank image loses positivity at eps={eps}", False
-
+    image = sum(kk.conj().T @ q_mats @ kk for kk in channel.kraus)
+    if np.linalg.norm(image - mats, axis=(1, 2)).max() > MAP_RESIDUAL_TOL:
+        return f"map residual above contract at eps={eps}", False
+    eigs = np.linalg.eigvalsh(q_mats)
+    gains = eigs[widenable, -1] - np.array([p.elements[i].max_eigenvalue for i in widenable])
+    best = int(np.argmax(gains))
+    if gains[best] < WIDENING_MARGIN:
+        return f"widening margin {gains[best]:.2e} below contract at eps={eps}", True
+    if not _psd_within_floor(eigs):
+        return f"an element loses positivity at eps={eps}", False
     q = validate(q_mats, tol, p.labels)
-    return Witness(q, channel, widened, "d", eps, MAX_EIG_INCREASE)
+    return Witness(q, channel, widenable[best], "d", eps, MAX_EIG_INCREASE)

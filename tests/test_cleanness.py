@@ -16,7 +16,7 @@ from cleanpovm.cleanness import (
 )
 from cleanpovm.errors import ConstructionFailed, NotQuasiQubit, SingleBlock, WrongCount, ZeroElement
 from cleanpovm.fuzz import random_quasi_qubit_instance
-from cleanpovm.linalg import Tolerances, haar_unitary, in_span, support_frame
+from cleanpovm.linalg import DEFAULT_TOL, Tolerances, haar_unitary, in_span, support_frame
 from cleanpovm.povm import random_povm, random_split_povm, rank_one_supports, validate
 from cleanpovm import cleanness, witness
 from cleanpovm.witness import build_witness
@@ -462,8 +462,31 @@ def test_near_boundary_supports():
     assert disagreements == []
 
 
-def test_failing_case_d_search_is_short(monkeypatch):
-    """A case-d search that cannot succeed stops once its trials turn back."""
+def _coarse_seed_instance():
+    # oblique; positivity fails for every eps down to 4.9e-4, and at 2.4e-4
+    # the widening margin is 7.0e-7
+    tol = Tolerances(rank=1e-2, zero=1e-2)
+    return random_quasi_qubit_instance(13, np.random.default_rng([21, 13, 11]))[1], tol
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        # every widenable support of these probe families has ||P_V psi|| of
+        # 1.0-2.7e-8, just past the 1e-8 rank cut, so it gains below 5e-14
+        # at every eps up to 0.95: a tolerance tie
+        lambda: (near_boundary_povm(16, 3e-9), DEFAULT_TOL),
+        lambda: (near_boundary_povm(28, 3e-9), DEFAULT_TOL),
+        lambda: (near_boundary_povm(88, 3e-9), DEFAULT_TOL),
+        lambda: (near_boundary_povm(114, 3e-9), DEFAULT_TOL),
+        lambda: (near_boundary_povm(66, 1e-8), DEFAULT_TOL),
+        _coarse_seed_instance,
+    ],
+    ids=["probe-16", "probe-28", "probe-88", "probe-114", "probe-66", "seed-21-13-11-coarse"],
+)
+def test_failing_case_d_search_is_short(monkeypatch, instance):
+    """A case-d search that cannot succeed stops once its trials turn back,
+    on the widening margin."""
     calls = []
     attempt = witness._case_d_attempt
 
@@ -472,9 +495,10 @@ def test_failing_case_d_search_is_short(monkeypatch):
         return attempt(*args)
 
     monkeypatch.setattr(witness, "_case_d_attempt", spy)
-    p = near_boundary_povm(16, 3e-9)
-    with pytest.raises(ConstructionFailed, match="case-\\(d\\) eps search failed"):
-        build_witness(p, decide_clean(p))
+    p, tol = instance()
+    match = "case-\\(d\\) eps search failed; last problem: widening margin"
+    with pytest.raises(ConstructionFailed, match=match):
+        build_witness(p, decide_clean(p, tol), tol)
     assert 0 < len(calls) <= witness._EPS_HALVINGS
 
 

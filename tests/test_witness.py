@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from cleanpovm.channel import KrausChannel, apply, spectrum_width_check
+from cleanpovm.channel import KrausChannel, apply, invert_positive_map, spectrum_width_check
 from cleanpovm.cleanness import decide_clean
 from cleanpovm import witness
 from cleanpovm.errors import (
     ConstructionFailed,
+    DimensionMismatch,
     NotScalar,
     PreconditionViolated,
     SingleOutcome,
@@ -242,19 +243,23 @@ class TestCaseD:
         assert w.q.elements[0].max_eigenvalue > 0.3 + 1e-6
         assert w.channel.closure_residual() <= 1e-10
 
-    def test_closed_form_matches_linear_solve(self):
-        # the construction asserts this internally at 1e-8; re-check tighter here
-        rng = np.random.default_rng(29)
-        p = random_split_povm(3, 1, 1, 2, rng, oblique=True)
-        verdict = decide_clean(p)
-        w = build_witness(p, verdict)
+    @pytest.mark.parametrize(
+        "shape", [(3, 1, 2, 2), (8, 4, 5, 5), (16, 8, 9, 9)], ids=["d3", "d8", "d16"]
+    )
+    def test_block_inverse_matches_linear_solve(self, shape):
+        # the d^2 x d^2 linear solve is the reference for the block inverse,
+        # and a rank-one target still pulls back to a rank-one element
+        d, k, n_v, n_w = shape
+        p = random_split_povm(d, k, n_v, n_w, [29, d, 0], oblique=True)
+        w = build_witness(p, decide_clean(p))
         assert w.case_tag == "d"
-        from cleanpovm.channel import invert_positive_map
-
         handle = invert_positive_map(w.channel)
         for pe, qe in zip(p.elements, w.q.elements):
             solved = handle.solve(pe.matrix)
-            assert np.linalg.norm(solved - qe.matrix) <= 1e-8 * max(1, np.linalg.norm(qe.matrix))
+            assert np.linalg.norm(solved - qe.matrix) <= 1e-12 * max(1, np.linalg.norm(qe.matrix))
+            if pe.rank == 1:
+                lam = np.abs(np.linalg.eigvalsh(qe.matrix))
+                assert np.sort(lam)[-2] <= 1e-12 * lam.max()
 
     def test_three_operator_closure_by_matrix_arithmetic(self):
         # independent restatement of the oblique construction at eps = 0.1,
@@ -403,6 +408,16 @@ class TestVerifyWitness:
         report = verify_witness(p, Witness(w.q, broken, w.widened_index, w.case_tag, w.epsilon, w.direction))
         assert not report.channel_unital
         assert not report.passed
+
+    @pytest.mark.parametrize("past_end", [False, True], ids=["minus-one", "n"])
+    def test_widened_index_outside_the_povm_raises(self, past_end):
+        # index -1 would check the last element and n has no element at all
+        p = qb_not_clean()
+        w = build_witness(p, decide_clean(p))
+        index = p.n_outcomes if past_end else -1
+        bad = Witness(w.q, w.channel, index, w.case_tag, w.epsilon, w.direction)
+        with pytest.raises(DimensionMismatch):
+            verify_witness(p, bad)
 
     def test_report_carries_margins(self):
         p = validate([0.5 * np.eye(2), 0.5 * np.eye(2)])
