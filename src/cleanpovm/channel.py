@@ -74,11 +74,16 @@ def hs_norm(matrix) -> float:
 
 
 def apply(channel: KrausChannel, operator) -> np.ndarray:
-    """Heisenberg action ``sum_a K_a^dagger A K_a``, re-Hermitized."""
-    a = as_operator(operator)
-    if a.shape[0] != channel.dim:
+    """Heisenberg action ``sum_a K_a^dagger A K_a``, re-Hermitized.
+
+    ``operator`` is one matrix or an ``(n, d, d)`` stack, mapped matrix by matrix.
+    """
+    a = np.asarray(operator, dtype=complex)
+    for m in a if a.ndim == 3 else (a,):
+        as_operator(m)  # each matrix finite and square
+    if a.shape[-1] != channel.dim:
         raise DimensionMismatch(
-            f"operator dimension {a.shape[0]} does not match channel dimension {channel.dim}"
+            f"operator dimension {a.shape[-1]} does not match channel dimension {channel.dim}"
         )
     out = np.zeros_like(a)
     for k in channel.kraus:
@@ -90,7 +95,7 @@ def apply_to_povm(channel: KrausChannel, povm: Povm, tol: Tolerances = DEFAULT_T
     """Element-wise channel action; unitality preserves the closure relation."""
     if povm.dim != channel.dim:
         raise DimensionMismatch("POVM and channel dimensions differ")
-    return validate([apply(channel, e.matrix) for e in povm.elements], tol, povm.labels)
+    return validate(apply(channel, np.stack([e.matrix for e in povm.elements])), tol, povm.labels)
 
 
 def superop(channel: KrausChannel) -> np.ndarray:

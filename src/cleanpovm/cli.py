@@ -9,6 +9,7 @@ Element indices in all human-facing output are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from dataclasses import asdict
@@ -204,7 +205,9 @@ def cmd_fuzz(args) -> int:
     return EXIT_CLEAN
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building costs ten parses."""
     parser = argparse.ArgumentParser(
         prog="cleanpovm",
         description=(
@@ -251,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_ranges(args)
         return args.func(args)

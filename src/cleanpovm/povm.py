@@ -161,22 +161,14 @@ def _labels(labels, count: int) -> Optional[tuple[str, ...]]:
     return labels
 
 
-def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
-    """Check the POVM axioms and return a :class:`Povm` with cached eigendata.
+def _check_axioms(a: np.ndarray, h: np.ndarray, w: np.ndarray, tol: Tolerances) -> None:
+    """The axiom gates of :func:`validate`, in its order and with its errors.
 
-    All elements are checked in one stacked pass. The first failing element
-    in input order decides the error; within it, hermiticity is checked
-    before PSD, and PSD before zero. Raises ``DimensionMismatch``,
-    ``NonHermitianInput``, ``NotPsd(index)``, ``ZeroElement(index)`` or
-    ``ClosureViolation`` as appropriate. Messages number elements from 1;
-    ``index`` is 0-based.
+    ``a`` is the ``(n, d, d)`` stack as given, ``h`` its Hermitian part and
+    ``w`` the ascending eigenvalues of ``h``, one row per element.
     """
-    a = _stack(matrices)
-    d = a.shape[1]
     asym = _fro_norms(a - a.conj().swapaxes(1, 2))
     non_hermitian = asym > tol.herm * np.maximum(1.0, _fro_norms(a))
-    h = hermitian_part(a)
-    w, v, ranks = _eigh(h, tol)
     lam_min = w[:, 0]
     not_psd = lam_min < -tol.psd * np.maximum(1.0, w[:, -1])
     zero = _fro_norms(h) <= tol.zero
@@ -192,14 +184,28 @@ def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> 
                 min_eigenvalue=float(lam_min[i]),
             )
         raise ZeroElement(f"element {i + 1} is numerically zero", index=i)
-    elements = _elements(h, w, v, ranks)
-    total = sum(e.matrix for e in elements)
-    residual = float(np.linalg.norm(total - np.eye(d)))
+    residual = float(np.linalg.norm(sum(h) - np.eye(a.shape[1])))
     if residual > tol.closure:
         raise ClosureViolation(
             f"sum of elements deviates from identity by {residual:.3e}", residual=residual
         )
-    return Povm(d, elements, _labels(labels, len(elements)))
+
+
+def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
+    """Check the POVM axioms and return a :class:`Povm` with cached eigendata.
+
+    All elements are checked in one stacked pass. The first failing element
+    in input order decides the error; within it, hermiticity is checked
+    before PSD, and PSD before zero. Raises ``DimensionMismatch``,
+    ``NonHermitianInput``, ``NotPsd(index)``, ``ZeroElement(index)`` or
+    ``ClosureViolation`` as appropriate. Messages number elements from 1;
+    ``index`` is 0-based.
+    """
+    a = _stack(matrices)
+    h = hermitian_part(a)
+    w, v, ranks = _eigh(h, tol)
+    _check_axioms(a, h, w, tol)
+    return Povm(a.shape[1], _elements(h, w, v, ranks), _labels(labels, len(a)))
 
 
 def povm_unchecked(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:

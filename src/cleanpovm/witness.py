@@ -74,7 +74,7 @@ from .linalg import (
     psd_sqrt,
     support_frame,
 )
-from .povm import Povm, RankOneSupport, rank_one_supports, validate
+from .povm import Povm, RankOneSupport, _check_axioms, _fro_norms, rank_one_supports, validate
 
 #: Frozen certificate contract: third parties check against these, no negotiation.
 MAP_RESIDUAL_TOL = 1e-8
@@ -135,11 +135,12 @@ class WitnessReport:
 
 
 def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> WitnessReport:
-    """Re-check a witness from scratch using only POVM/channel primitives.
+    """Re-check a witness using only POVM/channel primitives.
 
-    Checks: (i) Q is a valid POVM, (ii) the channel satisfies closure to
-    1e-10, (iii) E(Q_i) = P_i to 1e-8 element-wise, (iv) the spectrum widens
-    by at least 1e-6 at the declared index in the declared direction.
+    Checks: (i) Q is a valid POVM, gated on the eigenvalues Q cached when it
+    was validated or loaded, (ii) the channel satisfies closure to 1e-10,
+    (iii) E(Q_i) = P_i to 1e-8 element-wise, (iv) the spectrum widens by at
+    least 1e-6 at the declared index in the declared direction.
     """
     if p.dim != witness.q.dim or p.n_outcomes != witness.q.n_outcomes:
         raise DimensionMismatch("witness does not match the target POVM shape")
@@ -147,9 +148,13 @@ def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> 
         raise DimensionMismatch("channel dimension does not match the POVM")
     if not 0 <= witness.widened_index < p.n_outcomes:
         raise DimensionMismatch(f"widened index {witness.widened_index} is outside the POVM")
+    if witness.direction not in (MAX_EIG_INCREASE, MIN_EIG_DECREASE):
+        raise PreconditionViolated(f"unknown widening direction {witness.direction!r}")
 
+    q_mats = np.stack([e.matrix for e in witness.q.elements])
+    q_eigs = np.stack([e.eigenvalues for e in witness.q.elements])
     try:
-        validate([e.matrix for e in witness.q.elements], tol, witness.q.labels)
+        _check_axioms(q_mats, hermitian_part(q_mats), q_eigs, tol)
         q_valid = True
     except CleanPovmError:
         q_valid = False
@@ -157,20 +162,16 @@ def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> 
     closure_residual = witness.channel.closure_residual()
     channel_unital = closure_residual <= CLOSURE_RESIDUAL_TOL
 
-    max_map_residual = max(
-        hs_norm(apply(witness.channel, qe.matrix) - pe.matrix)
-        for qe, pe in zip(witness.q.elements, p.elements)
-    )
+    p_mats = np.stack([e.matrix for e in p.elements])
+    max_map_residual = float(_fro_norms(apply(witness.channel, q_mats) - p_mats).max())
     maps_to_target = max_map_residual <= MAP_RESIDUAL_TOL
 
     i = witness.widened_index
     q_el, p_el = witness.q.elements[i], p.elements[i]
     if witness.direction == MAX_EIG_INCREASE:
         widening_margin = q_el.max_eigenvalue - p_el.max_eigenvalue
-    elif witness.direction == MIN_EIG_DECREASE:
-        widening_margin = p_el.min_eigenvalue - q_el.min_eigenvalue
     else:
-        raise ValueError(f"unknown widening direction {witness.direction!r}")
+        widening_margin = p_el.min_eigenvalue - q_el.min_eigenvalue
     widened = widening_margin >= WIDENING_MARGIN
 
     return WitnessReport(
@@ -465,8 +466,9 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
         channel = KrausChannel.build(kraus, tol)
         if channel.closure_residual() > CLOSURE_RESIDUAL_TOL:
             return f"closure residual above contract at eps={eps}", False
-        q_mats = [hermitian_part(u @ q_adapted[i] @ u.conj().T) for i in range(p.n_outcomes)]
-        residual = max(hs_norm(apply(channel, qm) - e.matrix) for qm, e in zip(q_mats, p.elements))
+        adapted = np.stack([q_adapted[i] for i in range(p.n_outcomes)])
+        q_mats = hermitian_part(u @ adapted @ u.conj().T)
+        residual = max(hs_norm(x - e.matrix) for x, e in zip(apply(channel, q_mats), p.elements))
         if residual > MAP_RESIDUAL_TOL:
             return f"map residual above contract at eps={eps}", False
         i_w = designated.index

@@ -14,7 +14,13 @@ from cleanpovm.channel import (
     spectrum_width_check,
     superop,
 )
-from cleanpovm.errors import BoundUnavailable, ClosureViolation, SingularSuperop
+from cleanpovm.errors import (
+    BoundUnavailable,
+    ClosureViolation,
+    DimensionMismatch,
+    InvalidMatrix,
+    SingularSuperop,
+)
 from cleanpovm.linalg import haar_unitary, random_psd
 from cleanpovm.povm import classify, random_povm, validate
 from samplers import near_identity_channel, random_channel, random_hermitian
@@ -71,6 +77,34 @@ class TestApply:
             ch = random_channel(d, 3, rng)
             out = apply(ch, random_psd(d, rng))
             assert np.linalg.eigvalsh(out)[0] >= -1e-9
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    @pytest.mark.parametrize("n_kraus", [1, 3, 17])
+    def test_stack_equals_per_matrix_loop_bit_for_bit(self, d, n_kraus):
+        rng = np.random.default_rng([8, d, n_kraus])
+        ch = random_channel(d, n_kraus, rng)
+        stack = np.stack([random_hermitian(d, rng) for _ in range(5)])
+        stack[1] += 0.3j * rng.standard_normal((d, d))  # one non-Hermitian input too
+        out = apply(ch, stack)
+        assert out.shape == stack.shape
+        for a, b in zip(stack, out):
+            assert np.array_equal(apply(ch, a), b)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 3, 2), (3, 3, 3, 3)])
+    def test_stack_of_non_square_matrices_raises(self, shape):
+        ch = KrausChannel.build([np.eye(3)])
+        with pytest.raises(DimensionMismatch):
+            apply(ch, np.ones(shape))
+
+    def test_stack_of_another_dimension_raises(self):
+        with pytest.raises(DimensionMismatch):
+            apply(KrausChannel.build([np.eye(3)]), np.ones((4, 2, 2)))
+
+    def test_non_finite_stack_raises(self):
+        stack = np.ones((3, 2, 2), dtype=complex)
+        stack[2, 1, 0] = np.inf
+        with pytest.raises(InvalidMatrix):
+            apply(KrausChannel.build([np.eye(2)]), stack)
 
 
 class TestApplyToPovm:

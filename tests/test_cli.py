@@ -1,11 +1,15 @@
 """End-to-end CLI tests: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cleanpovm
 from cleanpovm import witness
 from cleanpovm.cli import main
 from cleanpovm.errors import ZeroElement
@@ -288,3 +292,33 @@ class TestFuzz:
         out = capsys.readouterr().out
         assert "witness cases" in out
         assert "violations: 0" in out
+
+
+def test_parser_reuse_matches_fresh_processes(qb_file, tmp_path, capsys):
+    """Calls in one process give what each gives alone; no flag leaks between calls."""
+    bundle, report = tmp_path / "w.json", tmp_path / "r.json"
+    calls = [
+        ["check", "--input", str(qb_file), "--tol", "1e-2", "--oracle", "--witness-out", str(bundle),
+         "--json-out", str(report)],
+        ["check", "--input", str(qb_file)],
+        ["verify", "--povm", str(qb_file), "--witness", str(bundle)],
+        ["random", "--kind", "scalar", "--dim", "2", "--count", "2", "--seed", "4",
+         "--out", str(tmp_path / "rand")],
+        ["check", "--tol", "1e-2"],  # no --input: argparse exits
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [c for c, _, _ in in_process] == [3, 3, 0, 0, 2]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cleanpovm.__file__).parents[1]))
+    for argv, got in zip(calls, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cleanpovm", *argv], capture_output=True, text=True, env=env
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == got, argv

@@ -1,12 +1,15 @@
 """Tests for the four witness constructions and the independent verifier."""
 
+import json
+
 import numpy as np
 import pytest
 
-from cleanpovm.channel import KrausChannel, apply, invert_positive_map, spectrum_width_check
+from cleanpovm.channel import KrausChannel, apply, hs_norm, invert_positive_map, spectrum_width_check
 from cleanpovm.cleanness import decide_clean
 from cleanpovm import witness
 from cleanpovm.errors import (
+    CleanPovmError,
     ConstructionFailed,
     DimensionMismatch,
     NotScalar,
@@ -14,11 +17,13 @@ from cleanpovm.errors import (
     SingleOutcome,
     VerdictIsClean,
 )
+from cleanpovm.fileio import dumps_canonical, witness_bundle_from_json, witness_bundle_to_json
 from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import Tolerances, haar_unitary, hermitian_part, random_psd
 from cleanpovm.povm import random_povm, random_split_povm, validate
 from cleanpovm.witness import (
     Witness,
+    WitnessReport,
     build_witness,
     case_b_kraus,
     case_b_widen_map,
@@ -425,3 +430,102 @@ class TestVerifyWitness:
         assert report.closure_residual <= 1e-10
         assert report.max_map_residual <= 1e-8
         assert report.widening_margin >= 1e-6
+
+
+def case_povm(case, d):
+    """A POVM whose built witness is of the given case, at dimension d."""
+    if case == "a":
+        return random_povm("scalar", d, 3, [43, d])
+    k = d // 2
+    shape = {"b": dict(block_diagonal=True), "c": dict(n_extra_full=1), "d": dict(oblique=True)}
+    return random_split_povm(d, k, k + 1, d - k + 1, [43, d], **shape[case])
+
+
+def reference_report(p, w, tol=Tolerances()):
+    """The report as Q's full re-validation and a per-element channel loop give it."""
+    try:
+        validate([e.matrix for e in w.q.elements], tol, w.q.labels)
+        q_valid = True
+    except CleanPovmError:
+        q_valid = False
+    closure = w.channel.closure_residual()
+    residual = max(
+        hs_norm(apply(w.channel, qe.matrix) - pe.matrix) for qe, pe in zip(w.q.elements, p.elements)
+    )
+    q_el, p_el = w.q.elements[w.widened_index], p.elements[w.widened_index]
+    if w.direction == "max-eig-increase":
+        margin = q_el.max_eigenvalue - p_el.max_eigenvalue
+    else:
+        margin = p_el.min_eigenvalue - q_el.min_eigenvalue
+    return WitnessReport(
+        q_valid, closure <= 1e-10, residual <= 1e-8, margin >= 1e-6, closure, residual, margin
+    )
+
+
+def bits(report):
+    return [v if isinstance(v, bool) else float(v).hex() for v in vars(report).values()]
+
+
+def tampered(p, w, kind):
+    """A bundle of (P, w) whose Q was edited before loading, read back."""
+    obj = json.loads(dumps_canonical(witness_bundle_to_json(p, w)))
+    q = obj["povm_q"]["elements"]
+    if kind == "not-psd":
+        q[0] = [[[-re, -im] for re, im in row] for row in q[0]]
+    elif kind == "non-hermitian":
+        q[0][0][1][0] += 0.1
+    elif kind == "zero":
+        q[-1] = [[[0.0, 0.0] for _ in row] for row in q[-1]]
+    else:  # closure
+        q[0] = [[[1.01 * re, 1.01 * im] for re, im in row] for row in q[0]]
+    return witness_bundle_from_json(obj)
+
+
+class TestReportEquivalence:
+    """verify_witness gives the reference report bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    @pytest.mark.parametrize("case", "abcd")
+    def test_built_witness(self, case, d):
+        p = case_povm(case, d)
+        w = build_witness(p, decide_clean(p))
+        assert w.case_tag == case
+        report = verify_witness(p, w)
+        assert report.passed
+        assert bits(report) == bits(reference_report(p, w))
+
+    @pytest.mark.parametrize("kind", ["not-psd", "non-hermitian", "zero", "closure"])
+    @pytest.mark.parametrize("case", "abcd")
+    def test_tampered_bundle(self, case, kind):
+        p = case_povm(case, 4)
+        target, loaded = tampered(p, build_witness(p, decide_clean(p)), kind)
+        report = verify_witness(target, loaded)
+        assert not report.q_valid and not report.passed
+        assert bits(report) == bits(reference_report(target, loaded))
+
+
+class TestVerifyWitnessWork:
+    @pytest.mark.parametrize("case", "abcd")
+    def test_no_eigendecomposition(self, monkeypatch, case):
+        p = case_povm(case, 8)
+        w = build_witness(p, decide_clean(p))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        assert verify_witness(p, w).passed
+        assert calls == []
+
+    def test_unknown_direction_raises_before_any_check(self, monkeypatch):
+        p = qb_not_clean()
+        w = build_witness(p, decide_clean(p))
+        sideways = Witness(w.q, w.channel, w.widened_index, w.case_tag, w.epsilon, "sideways")
+        for name in ("_check_axioms", "apply"):
+            monkeypatch.setattr(witness, name, None)  # any check would fail on a call
+        with pytest.raises(PreconditionViolated, match="unknown widening direction 'sideways'"):
+            verify_witness(p, sideways)
