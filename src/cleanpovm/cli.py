@@ -134,8 +134,7 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
-    povm = fileio.load_povm(args.povm, tol)
-    _, witness = fileio.load_witness_bundle(args.witness, tol)
+    povm, witness = fileio.load_verify_inputs(args.povm, args.witness, tol)
     report = verify_witness(povm, witness, tol)
     print(f"q_valid: {report.q_valid}")
     print(f"channel_unital: {report.channel_unital} (closure residual {report.closure_residual:.3e})")

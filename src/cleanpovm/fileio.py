@@ -2,12 +2,14 @@
 
 Complex entries are stored as two-element arrays ``[re, im]`` of decimal
 floats (locale-proof, and round-tripped bit-exactly by the shortest-repr
-float encoding). Element indices in files are 1-based. In-memory trees
-(``povm_to_json``, ``witness_bundle_to_json``) hold matrices as numpy
-arrays; :func:`dumps_canonical` is the one place a matrix becomes text, and
-its output equals ``json.dumps(tree, indent=2, sort_keys=True)`` plus a
-newline, with each array written as its rows of ``[re, im]`` pairs.
-Serialization is canonical (sorted keys, two-space indent, trailing
+float encoding); on reading, an entry must be a number other than
+``true``/``false``, and every ``dim`` an integer. Element indices in files
+are 1-based. In-memory trees (``povm_to_json``, ``witness_bundle_to_json``)
+hold matrices as numpy arrays; :func:`dumps_canonical` is the one place a
+matrix becomes text, and its output equals ``json.dumps(tree, indent=2,
+sort_keys=True)`` plus a newline, with each array written as its rows of
+``[re, im]`` pairs. It formats each distinct float magnitude of a document
+once. Serialization is canonical (sorted keys, two-space indent, trailing
 newline), so ``serialize(parse(serialize(x))) == serialize(x)`` byte for
 byte.
 """
@@ -30,6 +32,20 @@ class FileFormatError(CleanPovmError):
     """Input file does not conform to the documented schema."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _boolean_entry(rows, a: np.ndarray) -> bool:
+    """Whether a JSON ``true``/``false`` stands among ``rows``, which parsed to ``a``.
+
+    A boolean parses as 0 or 1, so only the entries with those values are looked up.
+    """
+    values = a.view(float)
+    r, c = np.nonzero((values == 0) | (values == 1))
+    return any(type(rows[i][j // 2][j % 2]) is bool for i, j in zip(r.tolist(), c.tolist()))
+
+
 def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{context}: expected a nonempty list of rows")
@@ -42,6 +58,8 @@ def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:
         raise FileFormatError(f"{context}: entries must be [re, im] pairs: {exc}") from exc
     if not np.all(np.isfinite(a)):
         raise FileFormatError(f"{context}: non-finite entries")
+    if _boolean_entry(rows, a):
+        raise FileFormatError(f"{context}: entries must be numbers, not true/false")
     return a
 
 
@@ -55,15 +73,16 @@ def povm_to_json(povm: Povm) -> dict:
     return out
 
 
-def povm_from_json(obj, tol: Tolerances = DEFAULT_TOL, checked: bool = True) -> Povm:
-    """Parse a POVM object; ``checked=False`` skips the POVM axiom checks."""
+def _povm_parts(obj) -> tuple[list[np.ndarray], list | None]:
+    """The element matrices and the labels of a POVM object, after the schema checks."""
     if not isinstance(obj, dict):
         raise FileFormatError("POVM file must contain a JSON object")
     try:
-        dim = int(obj["dim"])
-        elements = obj["elements"]
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, elements = obj["dim"], obj["elements"]
+    except KeyError as exc:
         raise FileFormatError(f"POVM file missing dim/elements: {exc}") from exc
+    if not _is_int(dim):
+        raise FileFormatError(f"dim must be an integer, got {dim!r}")
     if not isinstance(elements, list) or not elements:
         raise FileFormatError("POVM file needs a nonempty elements list")
     mats = [matrix_from_json(rows, f"element {i + 1}") for i, rows in enumerate(elements)]
@@ -74,10 +93,19 @@ def povm_from_json(obj, tol: Tolerances = DEFAULT_TOL, checked: bool = True) -> 
         not isinstance(labels, list) or len(labels) != len(mats)
     ):
         raise FileFormatError("labels must be a list matching the element count")
+    return mats, labels
+
+
+def _povm(mats: list[np.ndarray], labels, tol: Tolerances, checked: bool = True) -> Povm:
     try:
         return (validate if checked else povm_unchecked)(mats, tol, labels)
     except InvalidMatrix as exc:
         raise FileFormatError(str(exc)) from exc
+
+
+def povm_from_json(obj, tol: Tolerances = DEFAULT_TOL, checked: bool = True) -> Povm:
+    """Parse a POVM object; ``checked=False`` skips the POVM axiom checks."""
+    return _povm(*_povm_parts(obj), tol, checked)
 
 
 def witness_bundle_to_json(target: Povm, witness: Witness) -> dict:
@@ -95,22 +123,26 @@ def witness_bundle_to_json(target: Povm, witness: Witness) -> dict:
     }
 
 
-def witness_bundle_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Witness]:
+def _check_bundle_keys(obj) -> None:
     if not isinstance(obj, dict):
         raise FileFormatError("witness bundle must be a JSON object")
     for key in ("povm_p", "povm_q", "channel", "case", "epsilon", "widened_index", "direction"):
         if key not in obj:
             raise FileFormatError(f"witness bundle missing key {key!r}")
-    target = povm_from_json(obj["povm_p"], tol)
+
+
+def _witness_from_json(obj: dict, tol: Tolerances) -> Witness:
+    """The witness of a bundle whose keys are checked, ``povm_p`` aside."""
     # no axiom gates on Q either: an invalid Q is a verification outcome
     # (verify_witness check (i)), not a parse error
     q = povm_from_json(obj["povm_q"], tol, checked=False)
     ch = obj["channel"]
     try:
-        dim = int(ch["dim"])
-        kraus_rows = ch["kraus"]
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, kraus_rows = ch["dim"], ch["kraus"]
+    except (KeyError, TypeError) as exc:
         raise FileFormatError(f"channel block malformed: {exc}") from exc
+    if not _is_int(dim):
+        raise FileFormatError(f"channel dim must be an integer, got {dim!r}")
     if not isinstance(kraus_rows, list):
         raise FileFormatError("channel kraus must be a list of matrices")
     kraus = [matrix_from_json(rows, f"kraus {i + 1}") for i, rows in enumerate(kraus_rows)]
@@ -126,7 +158,7 @@ def witness_bundle_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, 
     if direction not in (MAX_EIG_INCREASE, MIN_EIG_DECREASE):
         raise FileFormatError(f"unknown direction {direction!r}")
     widened = obj["widened_index"]
-    if not isinstance(widened, int) or isinstance(widened, bool):
+    if not _is_int(widened):
         raise FileFormatError(f"widened_index must be an integer, got {widened!r}")
     if not 1 <= widened <= q.n_outcomes:
         raise FileFormatError("widened_index out of range")
@@ -134,8 +166,13 @@ def witness_bundle_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, 
         epsilon = float(obj["epsilon"])
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"epsilon must be a number: {exc}") from exc
-    witness = Witness(q, channel, widened - 1, case, epsilon, direction)
-    return target, witness
+    return Witness(q, channel, widened - 1, case, epsilon, direction)
+
+
+def witness_bundle_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Witness]:
+    _check_bundle_keys(obj)
+    target = povm_from_json(obj["povm_p"], tol)
+    return target, _witness_from_json(obj, tol)
 
 
 def _block(items: list[str], level: int, brackets: str = "[]") -> str:
@@ -144,52 +181,70 @@ def _block(items: list[str], level: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * level}{brackets[1]}"
 
 
-def _render_matrix(matrix: np.ndarray, level: int) -> str:
+def _render_matrix(matrix: np.ndarray, level: int, floats: list[np.ndarray]) -> str:
     a = np.ascontiguousarray(matrix, dtype=complex)
     if a.ndim != 2:
         raise TypeError(f"only 2-D arrays are serializable, got shape {a.shape}")
     if a.size == 0:
-        return _render([[]] * a.shape[0], level)
+        return _render([[]] * a.shape[0], level, floats)
     rows, cols = a.shape
-    # one format string for the whole matrix, filled in row-major order
-    # with re, im interleaved: the float64 view of the complex array
-    values = a.view(float).ravel()
-    if np.isfinite(values).all():
-        slot, args = "%r", values.tolist()
-    else:
-        slot, args = "%s", [json.dumps(v) for v in values.tolist()]
-    pair = _block([slot, slot], level + 2)
+    # one slot per float, in row-major order with re, im interleaved: the
+    # float64 view of the complex array
+    floats.append(a.view(float).ravel())
+    pair = _block(["%s", "%s"], level + 2)
     row = _block([pair] * cols, level + 1)
-    return _block([row] * rows, level) % tuple(args)
+    return _block([row] * rows, level)
+
+
+def _float_texts(floats: list[np.ndarray]) -> list[str]:
+    """The JSON text of every float, formatting each distinct magnitude once.
+
+    ``float.__repr__`` writes the sign apart from the digits, so
+    ``repr(x) == "-" * signbit(x) + repr(abs(x))`` for every finite ``x``
+    (``-0.0`` included); non-finite values get ``json.dumps``'s spelling.
+    """
+    values = np.concatenate(floats)
+    magnitudes, which = np.unique(np.abs(values), return_inverse=True)
+    n = len(magnitudes)
+    texts = list(map(repr, magnitudes.tolist()))
+    texts += ["-" + t for t in texts]
+    for j in np.flatnonzero(~np.isfinite(magnitudes)).tolist():
+        texts[j] = json.dumps(magnitudes[j].item())
+        texts[n + j] = json.dumps(-magnitudes[j].item())
+    return np.array(texts, dtype=object)[which + n * np.signbit(values)].tolist()
 
 
 def _key(k) -> str:
     # json writes a non-str key (number, bool, None) as its JSON text, quoted
-    return json.dumps(k if isinstance(k, str) else json.dumps(k))
+    return json.dumps(k if isinstance(k, str) else json.dumps(k)).replace("%", "%%")
 
 
-def _render(obj, level: int) -> str:
+def _render(obj, level: int, floats: list[np.ndarray]) -> str:
+    """``obj`` as a ``%`` template: one ``%s`` slot per matrix float, other text escaped."""
     if isinstance(obj, np.ndarray):
-        return _render_matrix(obj, level)
+        return _render_matrix(obj, level, floats)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{_key(k)}: {_render(v, level + 1)}" for k, v in sorted(obj.items())]
+        items = [f"{_key(k)}: {_render(v, level + 1, floats)}" for k, v in sorted(obj.items())]
         return _block(items, level, "{}")
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return _block([_render(v, level + 1) for v in obj], level)
-    return json.dumps(obj)
+        return _block([_render(v, level + 1, floats) for v in obj], level)
+    return json.dumps(obj).replace("%", "%%")
 
 
 def dumps_canonical(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, 2-D arrays as pair rows.
 
-    Scalars and keys go through ``json.dumps`` (its C encoder); each matrix
-    is written by one ``%`` format of all its floats.
+    Scalars and keys go through ``json.dumps`` (its C encoder). The matrix
+    floats of the whole document are written by one ``%`` format, and each
+    distinct magnitude among them is formatted once.
     """
-    return _render(obj, 0) + "\n"
+    floats: list[np.ndarray] = []
+    template = _render(obj, 0, floats) + "\n"
+    return template % tuple(_float_texts(floats) if floats else ())
 
 
 def save_json(path, obj) -> None:
@@ -217,3 +272,28 @@ def save_witness_bundle(path, target: Povm, witness: Witness) -> None:
 
 def load_witness_bundle(path, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Witness]:
     return witness_bundle_from_json(load_json(path), tol)
+
+
+def load_verify_inputs(povm_path, witness_path, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Witness]:
+    """The target POVM file and the witness of a bundle, as ``cleanpovm verify`` reads them.
+
+    The bundle's ``povm_p`` passes or fails as :func:`load_witness_bundle`
+    would decide, but when it equals the target file's tree it is neither
+    parsed nor validated again: equal trees hold equal numbers (up to the
+    sign of a zero), once the types that ``==`` does not tell apart and
+    the schema does (``2`` and ``2.0``, ``1`` and ``true``) are checked.
+    """
+    tree = load_json(povm_path)
+    mats, labels = _povm_parts(tree)
+    target = _povm(mats, labels, tol)
+    bundle = load_json(witness_path)
+    _check_bundle_keys(bundle)
+    p = bundle["povm_p"]
+    same = (
+        p == tree
+        and _is_int(p["dim"])
+        and not any(_boolean_entry(rows, m) for rows, m in zip(p["elements"], mats))
+    )
+    if not same:
+        povm_from_json(p, tol)
+    return target, _witness_from_json(bundle, tol)

@@ -32,16 +32,26 @@ from .linalg import (
 )
 
 
+def _fix_phases(kets: np.ndarray) -> np.ndarray:
+    """Each row of ``kets`` normalized, its largest amplitude rotated to real positive.
+
+    Rounds as the one-ket computation does: the norm is summed as
+    ``np.linalg.norm`` sums it, and each phase is a scalar division, which
+    rounds differently from the array division in the last bit.
+    """
+    norms = np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
+    u = kets / norms[:, None]
+    pivots = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
+    phases = np.array([z / abs(z) for z in pivots], dtype=complex)
+    return u * phases.conj()[:, None]
+
+
 def fix_support_phase(ket: np.ndarray) -> np.ndarray:
     """Normalize and rotate the global phase so the largest amplitude is real positive."""
-    v = np.asarray(ket, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v)
-    if norm == 0:
+    v = np.asarray(ket, dtype=complex).reshape(1, -1)
+    if np.linalg.norm(v) == 0:
         raise ZeroElement("cannot phase-fix the zero vector")
-    v = v / norm
-    i = int(np.argmax(np.abs(v)))
-    phase = v[i] / abs(v[i])
-    return v * phase.conjugate()
+    return _fix_phases(v)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +120,13 @@ class RankOneSupport(NamedTuple):
 
 def _stack(matrices) -> np.ndarray:
     """The matrices as one ``(n, d, d)`` complex array, after the shape checks."""
+    try:
+        a = np.array(matrices, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is not None and a.ndim == 3 and a.shape[1] == a.shape[2] >= 2 and np.isfinite(a).all():
+        return a
+    # not a finite stack of square matrices: check matrix by matrix to word the error
     mats = [as_operator(m) for m in matrices]
     if not mats:
         raise DimensionMismatch("a POVM needs at least one element")
@@ -142,14 +159,14 @@ def _elements(stack: np.ndarray, w, v, ranks) -> tuple[PovmElement, ...]:
     """Read-only elements over the stacked matrices and their eigendata."""
     for a in (stack, w, v):
         a.setflags(write=False)
-    elements = []
-    for i, rank in enumerate(ranks.tolist()):
-        weight = support = None
-        if rank == 1:
-            weight = float(w[i, -1])
-            support = fix_support_phase(v[i, :, -1])
-        elements.append(PovmElement(stack[i], w[i], v[i], rank, weight, support))
-    return tuple(elements)
+    ranks = ranks.tolist()
+    rank_one = [i for i, rank in enumerate(ranks) if rank == 1]
+    supports = dict(zip(rank_one, _fix_phases(v[rank_one, :, -1]))) if rank_one else {}
+    weights = w[:, -1].tolist()
+    return tuple(
+        PovmElement(stack[i], w[i], v[i], rank, weights[i] if rank == 1 else None, supports.get(i))
+        for i, rank in enumerate(ranks)
+    )
 
 
 def _labels(labels, count: int) -> Optional[tuple[str, ...]]:
@@ -167,11 +184,12 @@ def _check_axioms(a: np.ndarray, h: np.ndarray, w: np.ndarray, tol: Tolerances) 
     ``a`` is the ``(n, d, d)`` stack as given, ``h`` its Hermitian part and
     ``w`` the ascending eigenvalues of ``h``, one row per element.
     """
-    asym = _fro_norms(a - a.conj().swapaxes(1, 2))
-    non_hermitian = asym > tol.herm * np.maximum(1.0, _fro_norms(a))
+    stacked = np.concatenate([a - a.conj().swapaxes(1, 2), a, h])
+    asym, size, h_size = _fro_norms(stacked).reshape(3, -1)
+    non_hermitian = asym > tol.herm * np.maximum(1.0, size)
     lam_min = w[:, 0]
     not_psd = lam_min < -tol.psd * np.maximum(1.0, w[:, -1])
-    zero = _fro_norms(h) <= tol.zero
+    zero = h_size <= tol.zero
     bad = np.flatnonzero(non_hermitian | not_psd | zero)
     if bad.size:
         i = int(bad[0])
@@ -184,7 +202,9 @@ def _check_axioms(a: np.ndarray, h: np.ndarray, w: np.ndarray, tol: Tolerances) 
                 min_eigenvalue=float(lam_min[i]),
             )
         raise ZeroElement(f"element {i + 1} is numerically zero", index=i)
-    residual = float(np.linalg.norm(sum(h) - np.eye(a.shape[1])))
+    total = h.sum(axis=0)  # adds the elements in order, as a running sum does
+    total[np.diag_indices(a.shape[1])] -= 1.0
+    residual = float(np.linalg.norm(total))
     if residual > tol.closure:
         raise ClosureViolation(
             f"sum of elements deviates from identity by {residual:.3e}", residual=residual

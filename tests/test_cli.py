@@ -164,6 +164,19 @@ def test_malformed_matrix_entry_is_an_input_error(tmp_path, capsys, entry):
     assert "Traceback" not in captured.err
 
 
+def test_boolean_matrix_entries_are_an_input_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(
+        '{"dim": 2, "elements": [[[[true, false], [false, false]], [[false, false], [false, false]]],'
+        ' [[[false, false], [false, false]], [[false, false], [true, false]]]]}'
+    )
+    assert main(["check", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "input error: element 1: entries must be numbers, not true/false\n"
+    )
+
+
 def test_golden_bytes(tmp_path, monkeypatch, capsys):
     """check and verify write the committed bundle and reports byte for byte."""
     data = Path(__file__).parent / "data"
@@ -233,6 +246,87 @@ class TestVerify:
         other = tmp_path / "p3.json"
         save_povm(other, validate([np.eye(3) / 3 * 3]))
         assert main(["verify", "--povm", str(other), "--witness", str(bundle)]) == 1
+
+
+_QB_ACCEPTED = (
+    "q_valid: True\n"
+    "channel_unital: True (closure residual 0.000e+00)\n"
+    "maps_to_target: True (max residual 0.000e+00)\n"
+    "widened: True (margin 1.562e-02)\n"
+    "witness accepted\n"
+)
+
+
+class TestVerifyReadsTheTargetOnce:
+    """The bundle's povm_p is parsed and validated only when it differs from --povm."""
+
+    def _verify(self, qb_file, tmp_path, capsys, edit=None):
+        bundle = tmp_path / "w.json"
+        assert main(["check", "--input", str(qb_file), "--witness-out", str(bundle)]) == 3
+        if edit is not None:
+            obj = load_json(bundle)
+            edit(obj["povm_p"])
+            bundle.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["verify", "--povm", str(qb_file), "--witness", str(bundle)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_povm_p_that_is_not_a_povm_is_an_input_error(self, qb_file, tmp_path, capsys):
+        def double_element_1(p):
+            for row in p["elements"][0]:
+                for pair in row:
+                    pair[:] = [2 * x for x in pair]
+
+        assert self._verify(qb_file, tmp_path, capsys, double_element_1) == (
+            1, "", "input error: sum of elements deviates from identity by 2.500e-01\n"
+        )
+
+    def test_povm_p_with_other_labels_gives_the_same_report(self, qb_file, tmp_path, capsys):
+        def relabel(p):
+            p["labels"] = ["a", "b", "c"]
+
+        assert self._verify(qb_file, tmp_path, capsys, relabel) == (0, _QB_ACCEPTED, "")
+        assert self._verify(qb_file, tmp_path, capsys) == (0, _QB_ACCEPTED, "")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(dim=2.0), "dim must be an integer, got 2.0"),
+            (
+                lambda p: p["elements"][0][0].__setitem__(1, [False, False]),
+                "element 1: entries must be numbers, not true/false",
+            ),
+        ],
+        ids=["float-dim", "boolean-entry"],
+    )
+    def test_povm_p_equal_to_the_target_only_by_value_is_checked(
+        self, qb_file, tmp_path, capsys, edit, message
+    ):
+        # 2.0 == 2 and False == 0.0, so povm_p still compares equal to the --povm tree
+        assert self._verify(qb_file, tmp_path, capsys, edit) == (1, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("relabel, calls", [(False, 2), (True, 3)])
+    def test_identical_povm_p_is_not_decomposed_again(
+        self, qb_file, tmp_path, capsys, monkeypatch, relabel, calls
+    ):
+        count = []
+        original = np.linalg.eigh
+
+        def spy(*args, **kwargs):
+            count.append(1)
+            return original(*args, **kwargs)
+
+        bundle = tmp_path / "w.json"
+        assert main(["check", "--input", str(qb_file), "--witness-out", str(bundle)]) == 3
+        if relabel:
+            obj = load_json(bundle)
+            obj["povm_p"]["labels"] = ["a", "b", "c"]
+            bundle.write_text(json.dumps(obj))
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 0
+        # the --povm file and Q; a povm_p that differs from --povm is validated as well
+        assert len(count) == calls
 
 
 class TestRandom:

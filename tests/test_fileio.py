@@ -1,6 +1,7 @@
 """Round-trip and schema tests for the JSON file formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -181,5 +182,109 @@ def _arrays_as_pair_lists(tree):
 @settings(max_examples=150, deadline=None)
 @given(_trees)
 def test_dumps_canonical_equals_json_dumps(tree):
+    reference = json.dumps(_arrays_as_pair_lists(tree), indent=2, sort_keys=True) + "\n"
+    assert dumps_canonical(tree) == reference
+
+
+class TestSchemaTypes:
+    """``dim`` is an integer and matrix entries are numbers, as the README documents."""
+
+    @pytest.mark.parametrize("dim", ["2", 2.9, 2.0, True, None, [2]])
+    def test_povm_dim_must_be_an_integer(self, dim):
+        obj = json.loads(dumps_canonical(povm_to_json(qb_not_clean())))
+        obj["dim"] = dim
+        with pytest.raises(FileFormatError, match=re.escape(f"dim must be an integer, got {dim!r}")):
+            povm_from_json(obj)
+
+    @pytest.mark.parametrize("dim", ["2", 2.9, True])
+    def test_channel_dim_must_be_an_integer(self, dim):
+        p = qb_not_clean()
+        obj = json.loads(dumps_canonical(witness_bundle_to_json(p, build_witness(p, decide_clean(p)))))
+        obj["channel"]["dim"] = dim
+        with pytest.raises(FileFormatError, match=re.escape(f"channel dim must be an integer, got {dim!r}")):
+            witness_bundle_from_json(obj)
+
+    @pytest.mark.parametrize("where", ["element", "kraus"])
+    def test_boolean_entries_are_rejected(self, where):
+        observable = {
+            "dim": 2,
+            "elements": [
+                [[[True, False], [False, False]], [[False, False], [False, False]]],
+                [[[False, False], [False, False]], [[False, False], [True, False]]],
+            ],
+        }
+        if where == "element":
+            obj, load, context = observable, povm_from_json, "element 1"
+        else:
+            p = qb_not_clean()
+            obj = json.loads(dumps_canonical(witness_bundle_to_json(p, build_witness(p, decide_clean(p)))))
+            obj["channel"]["kraus"][0][0][1] = [0, False]
+            load, context = witness_bundle_from_json, "kraus 1"
+        with pytest.raises(FileFormatError, match=f"{context}: entries must be numbers, not true/false"):
+            load(obj)
+
+    def test_integer_entries_are_numbers(self):
+        obj = {"dim": 2, "elements": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+        assert [e.rank for e in povm_from_json(obj).elements] == [1, 1]
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian matrix with ``a``'s strict upper triangle and real diagonal.
+
+    Mirrored entries are conjugate copies, so every magnitude appears twice,
+    and the zero imaginary parts of the diagonal carry either sign.
+    """
+    upper = np.triu(np.ones(a.shape, dtype=bool), 1)
+    h = np.where(upper, a, a.conj().T)
+    h[np.diag_indices(len(h))] = a.diagonal().real
+    return h
+
+
+_square_arrays = st.integers(1, 5).flatmap(
+    lambda d: hnp.arrays(float, (d, d, 2), elements=_floats)
+).map(lambda pairs: pairs.view(complex)[..., 0])
+
+
+@st.composite
+def _shared_magnitude_trees(draw):
+    """Documents whose matrices share magnitudes and signs, as witness bundles do.
+
+    Exactly Hermitian matrices, bitwise and negated copies of them across
+    the document (case c's Q copies elements of P), and matrices that hold
+    only ``±0.0``, ``5e-324``, ``1e16``, ``1e-5``, NaN and ``±inf``.
+    """
+    bases = draw(st.lists(_square_arrays.map(_hermitian), min_size=1, max_size=3))
+    variants = [
+        (lambda m: m),
+        (lambda m: m.copy()),
+        (lambda m: -m),
+        (lambda m: m.conj()),
+    ]
+    mats = [draw(st.sampled_from(variants))(draw(st.sampled_from(bases))) for _ in range(draw(st.integers(1, 6)))]
+    keys = st.text(max_size=4) | st.sampled_from(["%", "%s", "100%", "%%r"])
+    return draw(
+        st.recursive(
+            st.sampled_from(mats) | _scalars | keys,
+            lambda children: (
+                st.lists(children, max_size=4) | st.dictionaries(keys, children, max_size=4)
+            ),
+            max_leaves=10,
+        )
+    )
+
+
+_reports = st.recursive(
+    _scalars | st.sampled_from(["%", "%s", "50% of %d", "%%"]),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=4) | st.sampled_from(["%", "%(x)s"]), children, max_size=4)
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_magnitude_trees() | _reports)
+def test_dumps_canonical_with_shared_magnitudes_equals_json_dumps(tree):
     reference = json.dumps(_arrays_as_pair_lists(tree), indent=2, sort_keys=True) + "\n"
     assert dumps_canonical(tree) == reference

@@ -12,7 +12,7 @@ from cleanpovm.errors import (
     ZeroElement,
 )
 from cleanpovm.fuzz import random_quasi_qubit_instance
-from cleanpovm.linalg import DEFAULT_TOL, haar_unitary, hermitian_part
+from cleanpovm.linalg import DEFAULT_TOL, as_operator, haar_unitary, hermitian_part
 from cleanpovm.povm import (
     PovmClass,
     _fro_norms,
@@ -159,6 +159,137 @@ class TestStackedValidate:
         assert not q.elements[0].matrix.flags.writeable
         with pytest.raises(DimensionMismatch):
             povm_unchecked([np.eye(2), np.eye(3)])
+
+
+def _phase_fixed(ket):
+    v = ket / np.linalg.norm(ket)
+    i = int(np.argmax(np.abs(v)))
+    phase = v[i] / abs(v[i])
+    return v * phase.conjugate()
+
+
+def _per_element_validate(matrices, tol=DEFAULT_TOL):
+    """``validate`` computed matrix by matrix: the reference the stacked pass must match.
+
+    Returns ``(matrix, eigenvalues, eigenvectors, rank, weight, support)``
+    per element, or raises what ``validate`` raises.
+    """
+    mats = [as_operator(m) for m in matrices]
+    if not mats:
+        raise DimensionMismatch("a POVM needs at least one element")
+    d = mats[0].shape[0]
+    if d < 2:
+        raise DimensionMismatch("dimension must be at least 2")
+    if any(m.shape != (d, d) for m in mats):
+        raise DimensionMismatch("POVM elements have mixed dimensions")
+    herm = [hermitian_part(m) for m in mats]
+    eig = [np.linalg.eigh(h) for h in herm]
+    for i, (m, h, (w, _)) in enumerate(zip(mats, herm, eig)):
+        asym = np.linalg.norm(m - m.conj().T)
+        if asym > tol.herm * max(1.0, np.linalg.norm(m)):
+            raise NonHermitianInput(f"element {i + 1}: asymmetry {asym:.3e} exceeds tolerance")
+        if w[0] < -tol.psd * max(1.0, w[-1]):
+            raise NotPsd(f"element {i + 1}: minimum eigenvalue {w[0]:.3e}", index=i,
+                         min_eigenvalue=float(w[0]))
+        if np.linalg.norm(h) <= tol.zero:
+            raise ZeroElement(f"element {i + 1} is numerically zero", index=i)
+    residual = float(np.linalg.norm(sum(herm) - np.eye(d)))
+    if residual > tol.closure:
+        raise ClosureViolation(f"sum of elements deviates from identity by {residual:.3e}",
+                               residual=residual)
+    out = []
+    for h, (w, v) in zip(herm, eig):
+        rank = int(np.sum(w > tol.rank * w[-1]))
+        one = rank == 1
+        out.append((h, w, v, rank, float(w[-1]) if one else None, _phase_fixed(v[:, -1]) if one else None))
+    return out
+
+
+def _outcome(fn, matrices):
+    try:
+        return fn(matrices)
+    except Exception as exc:  # the error is the outcome compared
+        return exc
+
+
+def _assert_same_outcome(matrices):
+    got = _outcome(validate, matrices)
+    want = _outcome(_per_element_validate, matrices)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        for attr in ("index", "min_eigenvalue", "residual"):
+            assert getattr(got, attr, None) == getattr(want, attr, None), attr
+        return want
+    assert not isinstance(got, Exception), got
+    for e, (h, w, v, rank, weight, support) in zip(got.elements, want, strict=True):
+        for x, y in ((e.matrix, h), (e.eigenvalues, w), (e.eigenvectors, v)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert (e.rank, e.weight) == (rank, weight)
+        assert e.support is None if support is None else e.support.tobytes() == support.tobytes()
+    return None
+
+
+class TestPerElementReference:
+    """Every Povm field and every error equals the per-element computation bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_random_instances_and_their_defects(self, d):
+        rng = np.random.default_rng([47, d])
+        errors = set()
+        for k in range(200):
+            _, p = random_quasi_qubit_instance(d, rng)
+            noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            mats = [e.matrix + 1e-12 * noise for e in p.elements]
+            # defects on up to two elements: the first in input order must decide
+            for i in rng.choice(len(mats), size=min(len(mats), k % 3), replace=False).tolist():
+                defect = rng.integers(4)
+                if defect == 0:
+                    mats[i] = mats[i] * (1 + 1e-6)  # closure
+                elif defect == 1:
+                    mats[i] = mats[i] - 2 * np.eye(d)  # not PSD
+                elif defect == 2:
+                    mats[i] = mats[i] + 1e-3 * noise  # not Hermitian
+                else:
+                    mats[i] = 1e-12 * mats[i]  # zero
+            error = _assert_same_outcome(mats)
+            errors.add(type(error).__name__)
+        assert errors >= {"NoneType", "ClosureViolation", "NotPsd", "NonHermitianInput", "ZeroElement"}
+
+    def test_closure_residual_bits(self):
+        rng = np.random.default_rng(48)
+        for d in (2, 3, 4, 8, 16):
+            for n in (2, 7, 40):
+                mats = list(rng.standard_normal((n, d, d)))
+                mats = [m @ m.T / n for m in mats]
+                assert isinstance(_assert_same_outcome(mats), ClosureViolation)
+
+    @pytest.mark.parametrize(
+        "matrices",
+        [
+            [],
+            [np.eye(2), np.eye(3)],
+            [np.eye(3), np.eye(2), np.full((2, 2), np.nan)],
+            [np.eye(2), [1.0, 0.0]],
+            [[1.0, 0.0], np.eye(3)],
+            np.eye(2),
+            [np.eye(1)],
+            [[[1.0]], [[0.0]]],
+            [np.eye(2), np.full((2, 2), np.inf)],
+            [np.eye(2), np.array([[np.nan, 0], [0, 1]]), np.eye(3)],
+            [[["a", 0], [0, 1]], np.eye(2)],
+            [np.eye(2), [[None, 0], [0, 1]]],
+            [np.eye(2), [[1, 0], [0]]],
+            np.zeros((2, 3, 3)),
+            np.zeros((2, 2, 3)),
+        ],
+        ids=[
+            "empty", "mixed-shapes", "mixed-shapes-before-nan", "one-d", "one-d-first", "one-matrix",
+            "one-by-one", "one-by-one-lists", "inf", "nan-before-mixed-shapes", "string",
+            "none", "ragged", "zero-stack", "non-square-stack",
+        ],
+    )
+    def test_malformed_input(self, matrices):
+        assert isinstance(_assert_same_outcome(matrices), Exception)
 
 
 class TestClassify:
