@@ -76,26 +76,28 @@ def hs_norm(matrix) -> float:
 def apply(channel: KrausChannel, operator) -> np.ndarray:
     """Heisenberg action ``sum_a K_a^dagger A K_a``, re-Hermitized.
 
-    ``operator`` is one matrix or an ``(n, d, d)`` stack, mapped matrix by matrix.
+    ``operator`` is one matrix or an ``(n, d, d)`` stack. A stack is mapped in
+    one broadcast product, and the terms are summed in Kraus order from zero,
+    so that each matrix maps bit for bit as it would on its own.
     """
     a = np.asarray(operator, dtype=complex)
-    for m in a if a.ndim == 3 else (a,):
-        as_operator(m)  # each matrix finite and square
+    if not (a.ndim in (2, 3) and a.shape[-1] == a.shape[-2] >= 1 and np.isfinite(a).all()):
+        for m in a if a.ndim == 3 else (a,):
+            as_operator(m)  # words the error of the first bad matrix
     if a.shape[-1] != channel.dim:
         raise DimensionMismatch(
             f"operator dimension {a.shape[-1]} does not match channel dimension {channel.dim}"
         )
-    out = np.zeros_like(a)
-    for k in channel.kraus:
-        out += k.conj().T @ a @ k
-    return hermitian_part(out)
+    k = np.stack(channel.kraus)
+    terms = k.conj().swapaxes(-1, -2) @ a[..., None, :, :] @ k
+    return hermitian_part(terms.sum(axis=-3, initial=0.0))
 
 
 def apply_to_povm(channel: KrausChannel, povm: Povm, tol: Tolerances = DEFAULT_TOL) -> Povm:
     """Element-wise channel action; unitality preserves the closure relation."""
     if povm.dim != channel.dim:
         raise DimensionMismatch("POVM and channel dimensions differ")
-    return validate(apply(channel, np.stack([e.matrix for e in povm.elements])), tol, povm.labels)
+    return validate(apply(channel, povm.matrices), tol, povm.labels)
 
 
 def superop(channel: KrausChannel) -> np.ndarray:

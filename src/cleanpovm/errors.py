@@ -83,7 +83,15 @@ class PreconditionViolated(CleanPovmError):
 
 
 class EpsilonSearchFailed(CleanPovmError):
-    """No deformation parameter satisfied all certificates (tolerance pathology)."""
+    """No deformation parameter satisfied all certificates (tolerance pathology).
+
+    ``diagnostics`` holds the last trial's verification report, if it got one.
+    """
+
+    def __init__(self, message, case_tag=None, diagnostics=None):
+        super().__init__(message)
+        self.case_tag = case_tag
+        self.diagnostics = diagnostics or {}
 
 
 class ConstructionFailed(CleanPovmError):

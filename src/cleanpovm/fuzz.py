@@ -114,8 +114,8 @@ def check_instance(povm: Povm, rng: np.random.Generator, tol: Tolerances = DEFAU
     """Run all per-instance assertions; returns (verdict, case_tag, problems).
 
     Each check runs once: three decisions (as given, permuted, conjugated),
-    one oracle, and for a not-clean verdict one witness, which
-    ``build_witness`` verifies.
+    one oracle, and for a not-clean verdict one witness, whose accepted eps
+    trial's report inside ``build_witness`` is its one verification.
     """
     problems: list[str] = []
     verdict = decide_clean(povm, tol)

@@ -9,7 +9,7 @@ fixed so its largest-magnitude amplitude is real positive.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -84,11 +84,26 @@ class PovmElement:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Validated POVM: use :func:`validate` to construct one."""
+    """Validated POVM: use :func:`validate` to construct one.
+
+    ``matrices`` and ``eigenvalues`` stack the elements' matrices and
+    ascending eigenvalues, one row per element. :func:`validate` and
+    :func:`povm_unchecked` hand over the stacks they decomposed; a Povm
+    built from elements alone stacks them once, here.
+    """
 
     dim: int
     elements: tuple[PovmElement, ...]
     labels: Optional[tuple[str, ...]] = None
+    matrices: np.ndarray = field(default=None, repr=False)
+    eigenvalues: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.matrices is None:
+            for name, attr in (("matrices", "matrix"), ("eigenvalues", "eigenvalues")):
+                stack = np.stack([getattr(e, attr) for e in self.elements])
+                stack.setflags(write=False)
+                object.__setattr__(self, name, stack)
 
     @property
     def n_outcomes(self) -> int:
@@ -155,27 +170,23 @@ def _eigh(h: np.ndarray, tol: Tolerances):
     return w, v, np.sum(w > tol.rank * w[:, -1:], axis=1)
 
 
-def _elements(stack: np.ndarray, w, v, ranks) -> tuple[PovmElement, ...]:
-    """Read-only elements over the stacked matrices and their eigendata."""
+def _povm(stack: np.ndarray, w, v, ranks, labels) -> Povm:
+    """A Povm of read-only elements over the stacked matrices and their eigendata."""
     for a in (stack, w, v):
         a.setflags(write=False)
     ranks = ranks.tolist()
     rank_one = [i for i, rank in enumerate(ranks) if rank == 1]
     supports = dict(zip(rank_one, _fix_phases(v[rank_one, :, -1]))) if rank_one else {}
     weights = w[:, -1].tolist()
-    return tuple(
+    elements = tuple(
         PovmElement(stack[i], w[i], v[i], rank, weights[i] if rank == 1 else None, supports.get(i))
         for i, rank in enumerate(ranks)
     )
-
-
-def _labels(labels, count: int) -> Optional[tuple[str, ...]]:
-    if labels is None:
-        return None
-    labels = tuple(str(s) for s in labels)
-    if len(labels) != count:
-        raise DimensionMismatch("label count does not match element count")
-    return labels
+    if labels is not None:
+        labels = tuple(str(s) for s in labels)
+        if len(labels) != len(elements):
+            raise DimensionMismatch("label count does not match element count")
+    return Povm(stack.shape[1], elements, labels, stack, w)
 
 
 def _check_axioms(a: np.ndarray, h: np.ndarray, w: np.ndarray, tol: Tolerances) -> None:
@@ -225,7 +236,7 @@ def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> 
     h = hermitian_part(a)
     w, v, ranks = _eigh(h, tol)
     _check_axioms(a, h, w, tol)
-    return Povm(a.shape[1], _elements(h, w, v, ranks), _labels(labels, len(a)))
+    return _povm(h, w, v, ranks, labels)
 
 
 def povm_unchecked(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
@@ -236,8 +247,7 @@ def povm_unchecked(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=Non
     they form a POVM. Only shapes and labels are checked.
     """
     a = _stack(matrices)
-    elements = _elements(a, *_eigh(hermitian_part(a), tol))
-    return Povm(a.shape[1], elements, _labels(labels, len(elements)))
+    return _povm(a, *_eigh(hermitian_part(a), tol), labels)
 
 
 def classify(povm: Povm) -> RankProfile:

@@ -26,12 +26,17 @@ that made the partition, every support's side (V or V^perp) under the same
 rule, and every element's off-diagonal block. Case d reads W's basis, and
 tests V + W for supplementarity, under that rule too; each of its trials
 widens the W-support whose eigenvalue gains most at that eps. The cases
-also share one search over their deformation parameter: trials along a
-fixed schedule, stopped at the first failure that asks to move the other
-way. Cases b and d run eps down 0.25 * 2^-k while closure, the map
-residual or positivity fails, and stop once the widening margin is missed,
-since a smaller eps only widens less; case d climbs a few fixed values
-instead when eps = 0.25 already misses the margin.
+also share one search over their deformation parameter and one judge for
+its trials. A trial builds one candidate, Q through
+:func:`~cleanpovm.povm.povm_unchecked` and E through
+:meth:`KrausChannel.build`, and is judged by :func:`verify_witness`'s report
+on it plus the construction's own positivity headroom. The search walks a
+fixed schedule and stops at the first failure that asks to move the other
+way: a missed widening margin asks for a larger eps, every other failure for
+a smaller one. Cases b and d run eps down 0.25 * 2^-k and stop once the
+margin is missed, since a smaller eps only widens less; case d climbs a few
+fixed values instead when eps = 0.25 already misses the margin. The accepted
+trial's witness is returned as it is: its report was the verification.
 
 Certificates are verified by :func:`verify_witness` using only POVM/channel
 primitives, with frozen contract constants: channel residual 1e-8, closure
@@ -41,12 +46,12 @@ residual 1e-10, spectrum widening margin 1e-6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import KrausChannel, apply, hs_norm
+from .channel import KrausChannel, apply
 from .cleanness import (
     CleannessVerdict,
     VerdictReason,
@@ -74,7 +79,7 @@ from .linalg import (
     psd_sqrt,
     support_frame,
 )
-from .povm import Povm, RankOneSupport, _check_axioms, _fro_norms, rank_one_supports, validate
+from .povm import Povm, RankOneSupport, _check_axioms, _fro_norms, povm_unchecked, rank_one_supports
 
 #: Frozen certificate contract: third parties check against these, no negotiation.
 MAP_RESIDUAL_TOL = 1e-8
@@ -98,6 +103,13 @@ _PSD_FLOOR = 1e-12
 def _psd_within_floor(eigs: np.ndarray) -> bool:
     """Whether ascending eigenvalues (one row per matrix) all clear the PSD floor."""
     return bool(np.all(eigs[..., 0] >= -_PSD_FLOOR * np.maximum(1.0, eigs[..., -1])))
+
+
+def _first_best(values: np.ndarray) -> int:
+    """Index of the largest value; of values within 1e-12 of it (relative to
+    max(1, |largest|)), the lowest index, so that rounding cannot break a tie."""
+    top = values.max()
+    return int(np.flatnonzero(values >= top - 1e-12 * max(1.0, abs(top)))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +149,11 @@ class WitnessReport:
 def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> WitnessReport:
     """Re-check a witness using only POVM/channel primitives.
 
-    Checks: (i) Q is a valid POVM, gated on the eigenvalues Q cached when it
-    was validated or loaded, (ii) the channel satisfies closure to 1e-10,
-    (iii) E(Q_i) = P_i to 1e-8 element-wise, (iv) the spectrum widens by at
-    least 1e-6 at the declared index in the declared direction.
+    Checks: (i) Q is a valid POVM, gated on the matrix and eigenvalue stacks
+    Q kept when it was built or loaded, (ii) the channel satisfies closure to
+    1e-10, (iii) E(Q_i) = P_i to 1e-8 element-wise, (iv) the spectrum widens
+    by at least 1e-6 at the declared index in the declared direction. Every
+    call computes all four afresh.
     """
     if p.dim != witness.q.dim or p.n_outcomes != witness.q.n_outcomes:
         raise DimensionMismatch("witness does not match the target POVM shape")
@@ -151,10 +164,9 @@ def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> 
     if witness.direction not in (MAX_EIG_INCREASE, MIN_EIG_DECREASE):
         raise PreconditionViolated(f"unknown widening direction {witness.direction!r}")
 
-    q_mats = np.stack([e.matrix for e in witness.q.elements])
-    q_eigs = np.stack([e.eigenvalues for e in witness.q.elements])
+    q_mats = witness.q.matrices
     try:
-        _check_axioms(q_mats, hermitian_part(q_mats), q_eigs, tol)
+        _check_axioms(q_mats, hermitian_part(q_mats), witness.q.eigenvalues, tol)
         q_valid = True
     except CleanPovmError:
         q_valid = False
@@ -162,8 +174,7 @@ def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> 
     closure_residual = witness.channel.closure_residual()
     channel_unital = closure_residual <= CLOSURE_RESIDUAL_TOL
 
-    p_mats = np.stack([e.matrix for e in p.elements])
-    max_map_residual = float(_fro_norms(apply(witness.channel, q_mats) - p_mats).max())
+    max_map_residual = float(_fro_norms(apply(witness.channel, q_mats) - p.matrices).max())
     maps_to_target = max_map_residual <= MAP_RESIDUAL_TOL
 
     i = witness.widened_index
@@ -186,52 +197,38 @@ def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> 
 
 
 def build_witness(p: Povm, verdict: CleannessVerdict, tol: Tolerances = DEFAULT_TOL) -> Witness:
-    """Dispatch a not-clean verdict to the matching construction and verify it.
+    """Dispatch a not-clean verdict to the matching construction.
 
-    Raises :class:`VerdictIsClean` for clean verdicts and wraps any
-    construction breakdown in :class:`ConstructionFailed` (a bug or a
-    tolerance pathology, never an expected outcome).
+    Every construction returns a witness that :func:`verify_witness` has
+    passed, once. Raises :class:`VerdictIsClean` for clean verdicts and wraps
+    any construction breakdown in :class:`ConstructionFailed` (a bug or a
+    tolerance pathology, never an expected outcome); after a failed eps
+    search it carries the case tag and, if the last trial was verified,
+    that report's fields as its ``diagnostics``.
     """
     if verdict.clean:
         raise VerdictIsClean(f"verdict {verdict.reason.value} is clean; nothing to witness")
 
     try:
         if verdict.reason is VerdictReason.SCALAR_ELEMENTS:
-            witness = witness_case_a(p, tol)
-        else:
-            if verdict.partition is None:
-                raise PreconditionViolated("not-clean verdict carries no partition evidence")
-            v_kets, w_kets = separating_pair(verdict.partition)
-            split = _split(p, v_kets, tol)
-            if not split.orthogonal:
-                witness = _case_d(p, split, w_kets, tol)
-            elif split.block_diagonal.all() and split.supports:
-                witness = _case_b(p, split, tol)
-            else:
-                witness = _case_c(p, split, tol)
+            return witness_case_a(p, tol)
+        if verdict.partition is None:
+            raise PreconditionViolated("not-clean verdict carries no partition evidence")
+        v_kets, w_kets = separating_pair(verdict.partition)
+        split = _split(p, v_kets, tol)
+        if not split.orthogonal:
+            return _case_d(p, split, w_kets, tol)
+        if split.block_diagonal.all() and split.supports:
+            return _case_b(p, split, tol)
+        return _case_c(p, split, tol)
     except ConstructionFailed:
         raise
     except CleanPovmError as exc:
         raise ConstructionFailed(
-            f"witness construction failed: {exc}", diagnostics={"error": str(exc)}
+            f"witness construction failed: {exc}",
+            case_tag=getattr(exc, "case_tag", None),
+            diagnostics=getattr(exc, "diagnostics", None) or {"error": str(exc)},
         ) from exc
-
-    report = verify_witness(p, witness, tol)
-    if not report.passed:
-        raise ConstructionFailed(
-            f"constructed case-{witness.case_tag} witness failed verification",
-            case_tag=witness.case_tag,
-            diagnostics={
-                "q_valid": report.q_valid,
-                "channel_unital": report.channel_unital,
-                "maps_to_target": report.maps_to_target,
-                "widened": report.widened,
-                "closure_residual": report.closure_residual,
-                "max_map_residual": report.max_map_residual,
-                "widening_margin": report.widening_margin,
-            },
-        )
-    return witness
 
 
 class _Split(NamedTuple):
@@ -280,31 +277,76 @@ def _split(p: Povm, v_kets, tol: Tolerances) -> _Split:
     orthogonal = bool(np.all(in_v | in_vperp))
     off = block_diagonal = None
     if orthogonal:
-        mats = np.stack([e.matrix for e in p.elements])
+        mats = p.matrices
         off = pi_v @ mats @ (np.eye(d) - pi_v)
         scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
         block_diagonal = np.linalg.norm(off, axis=(1, 2)) <= tol.zero * scale
     return _Split(ov, operp, pi_v, supports, kets, in_v, in_vperp, orthogonal, off, block_diagonal)
 
 
-def _eps_walk(trial, schedule, larger: bool, case_tag: str) -> Witness:
-    """Try ``trial`` at each value of ``schedule`` until one gives a Witness.
+class _Trial(NamedTuple):
+    """One eps trial: the accepted witness, or its first failed check, which way
+    that check asks eps to move, and the report (``None`` if a pre-check failed)."""
 
-    ``trial(x)`` returns a Witness or ``(problem, needs_larger)``. The
-    schedule moves x one way, upward when ``larger``; the walk stops at the
-    first failure that asks for the other way, since every later value only
-    moves further from what that check needs. Raises
-    :class:`EpsilonSearchFailed` naming the last problem.
+    witness: Witness | None
+    problem: str
+    needs_larger: bool
+    report: WitnessReport | None = None
+
+
+_MARGIN_TEXT = "widening margin {margin:.2e} below contract at eps={eps}"
+_DROP_TEXT = f"largest minimum-eigenvalue drop {{margin:.3e}} at eps={{eps}} is below {WIDENING_MARGIN}"
+
+
+def _judge(p, witness, tol, headroom="", margin_text=_MARGIN_TEXT, margin_first=False) -> _Trial:
+    """Accept one trial's candidate on its :func:`verify_witness` report, or
+    name its first failed check.
+
+    ``headroom`` words the construction's own positivity failure (empty when
+    Q clears it). The order is headroom, closure, map residual, widening
+    margin, Q's POVM axioms; ``margin_first`` moves the headroom after the
+    margin. A failed margin asks for a larger eps, any other check for a
+    smaller one. Problems are formatted with the report's ``margin`` and ``eps``.
     """
-    problem = "empty schedule"
+    report = verify_witness(p, witness, tol)
+    checks = [
+        (not headroom, headroom, False),
+        (report.channel_unital, "closure residual above contract at eps={eps}", False),
+        (report.maps_to_target, "map residual above contract at eps={eps}", False),
+        (report.widened, margin_text, True),
+        (report.q_valid, "Q fails the POVM axioms at eps={eps}", False),
+    ]
+    if margin_first:  # closure, map residual, margin, headroom, axioms
+        checks.insert(3, checks.pop(0))
+    for ok, problem, needs_larger in checks:
+        if not ok:
+            problem = problem.format(margin=report.widening_margin, eps=witness.epsilon)
+            return _Trial(None, problem, needs_larger, report)
+    return _Trial(witness, "", False, report)
+
+
+def _eps_walk(trial, schedule, larger: bool, case_tag: str) -> Witness:
+    """Judge ``trial`` at each value of ``schedule`` until one is accepted.
+
+    ``trial(x)`` returns a :class:`_Trial`. The schedule moves x one way,
+    upward when ``larger``; the walk stops at the first failure that asks
+    for the other way, since every later value only moves further from what
+    that check needs. The accepted witness is returned as it is: its trial's
+    report was its one verification. Raises :class:`EpsilonSearchFailed`
+    naming the last problem, with the case tag and the last report's fields.
+    """
+    last = _Trial(None, "empty schedule", larger)
     for x in schedule:
-        result = trial(x)
-        if isinstance(result, Witness):
-            return result
-        problem, needs_larger = result
-        if needs_larger != larger:
+        last = trial(x)
+        if last.witness is not None:
+            return last.witness
+        if last.needs_larger != larger:
             break
-    raise EpsilonSearchFailed(f"case-({case_tag}) eps search failed; last problem: {problem}")
+    raise EpsilonSearchFailed(
+        f"case-({case_tag}) eps search failed; last problem: {last.problem}",
+        case_tag=case_tag,
+        diagnostics=None if last.report is None else asdict(last.report),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +357,8 @@ def witness_case_a(p: Povm, tol: Tolerances = DEFAULT_TOL) -> Witness:
     """Scalar POVM {mu_i 1}: the channel discards everything but <e1|A|e1>.
 
     Q concentrates the weights on |e1><e1| and parks the rest of Q_1 on the
-    remaining basis states, so lambda_max(Q_1) = 1 > mu_1.
+    remaining basis states, so lambda_max(Q_1) = 1 > mu_1. There is no eps:
+    the one candidate is judged as a one-trial search.
     """
     if p.n_outcomes < 2:
         raise SingleOutcome("scalar construction needs at least two outcomes")
@@ -327,31 +370,14 @@ def witness_case_a(p: Povm, tol: Tolerances = DEFAULT_TOL) -> Witness:
             raise NotScalar(f"element {i + 1} is not a multiple of the identity")
         weights.append(mu)
 
-    q_mats = []
-    first = np.zeros((d, d), dtype=complex)
-    first[0, 0] = weights[0]
-    for j in range(1, d):
-        first[j, j] = 1.0
-    q_mats.append(first)
-    for mu in weights[1:]:
-        m = np.zeros((d, d), dtype=complex)
-        m[0, 0] = mu
-        q_mats.append(m)
-
-    kraus = []
-    for alpha in range(d):
-        k = np.zeros((d, d), dtype=complex)
-        k[0, alpha] = 1.0  # |e1><e_alpha|
-        kraus.append(k)
-    channel = KrausChannel.build(kraus, tol)
-
-    margin = 1.0 - weights[0]
-    if margin < WIDENING_MARGIN:
-        raise ConstructionFailed(
-            f"first scalar weight {weights[0]} leaves widening margin {margin:.3e}",
-            case_tag="a",
-        )
-    return Witness(validate(q_mats, tol, p.labels), channel, 0, "a", 0.0, MAX_EIG_INCREASE)
+    q_mats = np.zeros((p.n_outcomes, d, d), dtype=complex)
+    q_mats[:, 0, 0] = weights
+    q_mats[0, range(1, d), range(1, d)] = 1.0
+    kraus = np.zeros((d, d, d), dtype=complex)
+    kraus[range(d), 0, range(d)] = 1.0  # K_alpha = |e1><e_alpha|
+    q = povm_unchecked(q_mats, tol, p.labels)
+    witness = Witness(q, KrausChannel.build(kraus, tol), 0, "a", 0.0, MAX_EIG_INCREASE)
+    return _eps_walk(lambda _: _judge(p, witness, tol), (0.0,), False, "a")  # one trial
 
 
 # ---------------------------------------------------------------------------
@@ -455,28 +481,18 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
     def attempt(eps):
         q_adapted = {i: case_b_widen_map(p_adapted[i], a, eps) for i in others}
         q_adapted[absorber] = np.eye(d, dtype=complex) - sum(q_adapted[i] for i in others)
-        w_abs = np.linalg.eigvalsh(hermitian_part(q_adapted[absorber]))
-        if w_abs[0] < tol.psd * max(w_abs[-1], 0.0):
-            return f"absorbing element loses positivity at eps={eps}", False
-        if not all(
-            _psd_within_floor(np.linalg.eigvalsh(hermitian_part(q_adapted[i]))) for i in others
-        ):
-            return f"a widened element loses positivity at eps={eps}", False
-        kraus = [u @ mk @ u.conj().T for mk in case_b_kraus(a, eps)]
-        channel = KrausChannel.build(kraus, tol)
-        if channel.closure_residual() > CLOSURE_RESIDUAL_TOL:
-            return f"closure residual above contract at eps={eps}", False
         adapted = np.stack([q_adapted[i] for i in range(p.n_outcomes)])
-        q_mats = hermitian_part(u @ adapted @ u.conj().T)
-        residual = max(hs_norm(x - e.matrix) for x, e in zip(apply(channel, q_mats), p.elements))
-        if residual > MAP_RESIDUAL_TOL:
-            return f"map residual above contract at eps={eps}", False
-        i_w = designated.index
-        margin = float(np.linalg.eigvalsh(q_mats[i_w])[-1]) - p.elements[i_w].max_eigenvalue
-        if margin < WIDENING_MARGIN:
-            return f"widening margin {margin:.2e} below contract at eps={eps}", True
-        q = validate(q_mats, tol, p.labels)
-        return Witness(q, channel, designated.index, "b", eps, MAX_EIG_INCREASE)
+        q = povm_unchecked(hermitian_part(u @ adapted @ u.conj().T), tol, p.labels)
+        w_abs = q.eigenvalues[absorber]
+        if w_abs[0] < tol.psd * max(w_abs[-1], 0.0):  # strictly inside the PSD cone
+            headroom = "absorbing element loses positivity at eps={eps}"
+        elif not _psd_within_floor(q.eigenvalues[others]):
+            headroom = "a widened element loses positivity at eps={eps}"
+        else:
+            headroom = ""
+        channel = KrausChannel.build([u @ mk @ u.conj().T for mk in case_b_kraus(a, eps)], tol)
+        witness = Witness(q, channel, designated.index, "b", eps, MAX_EIG_INCREASE)
+        return _judge(p, witness, tol, headroom)
 
     return _eps_walk(attempt, _EPS_SCHEDULE, False, "b")
 
@@ -532,36 +548,30 @@ def _case_c(p: Povm, split: _Split, tol: Tolerances) -> Witness:
         raise PreconditionViolated("no full-rank element with a nonzero off-diagonal block")
 
     offs = split.off + split.off.conj().swapaxes(-1, -2)  # Hermitian off-diagonal parts
-    mats = np.stack([p.elements[i].matrix for i in movers])
-    min_eigs = np.array([p.elements[i].min_eigenvalue for i in movers])
+    kept = split.block_diagonal[:, None, None]
+    min_eigs = p.eigenvalues[movers, 0]
     pi_w = np.eye(d) - split.pi_v
 
     def attempt(s):
         eps = math.sqrt(s / (1.0 + s))
-        q_mats = [
-            e.matrix.copy() if split.block_diagonal[i] else hermitian_part(e.matrix + s * offs[i])
-            for i, e in enumerate(p.elements)
-        ]
-        eigs = np.linalg.eigvalsh(np.stack([q_mats[i] for i in movers]))
-        if not _psd_within_floor(eigs):
-            return f"a rescaled element loses positivity at eps={eps}", False
-        drops = min_eigs - eigs[:, 0]
-        best = int(np.argmax(drops))
-        if drops[best] < WIDENING_MARGIN:
-            drop = f"largest minimum-eigenvalue drop {drops[best]:.3e} at eps={eps}"
-            return f"{drop} is below {WIDENING_MARGIN}", True
+        q_mats = np.where(kept, p.matrices, hermitian_part(p.matrices + s * offs))
+        q = povm_unchecked(q_mats, tol, p.labels)
+        eigs = q.eigenvalues[movers]
+        floor_ok = _psd_within_floor(eigs)
+        headroom = "" if floor_ok else "a rescaled element loses positivity at eps={eps}"
         kraus = [eps * split.pi_v, eps * pi_w, math.sqrt(1.0 - eps**2) * np.eye(d)]
-        channel = KrausChannel.build(kraus, tol)
-        q = validate(q_mats, tol, p.labels)
-        return Witness(q, channel, movers[best], "c", eps, MIN_EIG_DECREASE)
+        best = movers[_first_best(min_eigs - eigs[:, 0])]
+        witness = Witness(q, KrausChannel.build(kraus, tol), best, "c", eps, MIN_EIG_DECREASE)
+        return _judge(p, witness, tol, headroom, _DROP_TEXT)
 
-    return _case_c_bisect(attempt, float(np.min(_rescaling_bounds(mats, offs[movers]))))
+    s_max = float(np.min(_rescaling_bounds(p.matrices[movers], offs[movers])))
+    return _case_c_bisect(attempt, s_max)
 
 
 def _case_c_bisect(attempt, s_max: float) -> Witness:
     """Bisect [s, s_max) from s = s_max / 2 while only the widening margin fails.
 
-    ``attempt(s)`` returns a Witness or ``(problem, needs_larger)``. Drops grow
+    ``attempt(s)`` returns the trial's :class:`_Trial`. Drops grow
     with s, and concavity keeps lambda_min(P_i + s O_i) >= (1 - s / s_max)
     lambda_min(P_i), so every trial is PSD up to rounding.
     """
@@ -634,29 +644,28 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
         return _case_d_attempt(p, u, a, aa_top, eps, widenable, tol)
 
     first = attempt(_EPS_START)
-    if isinstance(first, Witness):
-        return first
-    if first[1]:  # too little margin even at the start value: climb instead
+    if first.witness is not None:
+        return first.witness
+    if first.needs_larger:  # too little margin even at the start value: climb instead
         return _eps_walk(attempt, _EPS_RUNGS, True, "d")
     return _eps_walk(attempt, _EPS_SCHEDULE[1:], False, "d")
 
 
 def _case_d_attempt(p, u, a, aa_top, eps, widenable, tol):
-    """One eps trial for case (d).
+    """One eps trial for case (d), judged as a :class:`_Trial`.
 
     Pulls every element back through the trial channel's block inverse and
-    checks what a case-(b) trial checks, in this order: closure, the map
-    residual, the widening margin of the support in ``widenable`` whose
-    maximum eigenvalue gains most, and positivity. Returns a Witness, or
-    ``(problem, needs_larger)`` where ``needs_larger`` says which way to move
-    eps: the widening margin wants eps larger, everything else smaller.
+    widens the support in ``widenable`` whose maximum eigenvalue gains most.
+    Its checks run in this order: closure, the map residual, the widening
+    margin, positivity; so when both the margin and positivity fail, the
+    trial asks for a larger eps.
     """
     d = p.dim
     k, m = a.shape
     t = eps**2
     coeff = 1.0 / (1.0 - t) ** 2 - 1.0  # closure forces B^2 = 1 - coeff A A^dagger
     if coeff * aa_top >= 1.0 - 1e-9:
-        return f"B(eps) undefined at eps={eps}", False
+        return _Trial(None, f"B(eps) undefined at eps={eps}", False)
     b_mat = psd_sqrt(np.eye(k) - coeff * (a @ a.conj().T), tol)
 
     r_v = np.zeros((d, d), dtype=complex)
@@ -670,13 +679,10 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, tol):
     try:
         channel = KrausChannel.build(kraus, tol)
     except ClosureViolation as exc:
-        return f"closure failed at eps={eps}: {exc}", False
-    if channel.closure_residual() > CLOSURE_RESIDUAL_TOL:
-        return f"closure residual above contract at eps={eps}", False
+        return _Trial(None, f"closure failed at eps={eps}: {exc}", False)
 
     # in u, E(X) = sum m X m^dagger is block upper-triangular: solve it block by block
-    mats = np.stack([e.matrix for e in p.elements])
-    y = u.conj().T @ mats @ u
+    y = u.conj().T @ p.matrices @ u
     b_inv = np.linalg.inv(b_mat)
     alpha = -t / (1.0 - t) - t
     beta = t / (1.0 - t) ** 2 + t + t**2 / (1.0 - t)
@@ -687,17 +693,9 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, tol):
     cross = a @ x[:, k:, :k] @ b_mat  # A X21 B; its adjoint is B X12 A^dagger
     rhs = y[:, :k, :k] - alpha * (cross + cross.conj().swapaxes(-1, -2))
     x[:, :k, :k] = b_inv @ (rhs - beta * (a @ x[:, k:, k:] @ a.conj().T)) @ b_inv
-    q_mats = hermitian_part(u @ x @ u.conj().T)
-
-    image = sum(kk.conj().T @ q_mats @ kk for kk in channel.kraus)
-    if np.linalg.norm(image - mats, axis=(1, 2)).max() > MAP_RESIDUAL_TOL:
-        return f"map residual above contract at eps={eps}", False
-    eigs = np.linalg.eigvalsh(q_mats)
-    gains = eigs[widenable, -1] - np.array([p.elements[i].max_eigenvalue for i in widenable])
-    best = int(np.argmax(gains))
-    if gains[best] < WIDENING_MARGIN:
-        return f"widening margin {gains[best]:.2e} below contract at eps={eps}", True
-    if not _psd_within_floor(eigs):
-        return f"an element loses positivity at eps={eps}", False
-    q = validate(q_mats, tol, p.labels)
-    return Witness(q, channel, widenable[best], "d", eps, MAX_EIG_INCREASE)
+    q = povm_unchecked(hermitian_part(u @ x @ u.conj().T), tol, p.labels)
+    eigs = q.eigenvalues
+    best = widenable[_first_best(eigs[widenable, -1] - p.eigenvalues[widenable, -1])]
+    headroom = "" if _psd_within_floor(eigs) else "an element loses positivity at eps={eps}"
+    witness = Witness(q, channel, best, "d", eps, MAX_EIG_INCREASE)
+    return _judge(p, witness, tol, headroom, margin_first=True)

@@ -21,7 +21,7 @@ from cleanpovm.errors import (
     InvalidMatrix,
     SingularSuperop,
 )
-from cleanpovm.linalg import haar_unitary, random_psd
+from cleanpovm.linalg import haar_unitary, hermitian_part, random_psd
 from cleanpovm.povm import classify, random_povm, validate
 from samplers import near_identity_channel, random_channel, random_hermitian
 
@@ -89,6 +89,10 @@ class TestApply:
         assert out.shape == stack.shape
         for a, b in zip(stack, out):
             assert np.array_equal(apply(ch, a), b)
+            loop = np.zeros_like(a)  # the reference: a running sum from zero
+            for k in ch.kraus:
+                loop += k.conj().T @ a @ k
+            assert hermitian_part(loop).tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 3, 2), (3, 3, 3, 3)])
     def test_stack_of_non_square_matrices_raises(self, shape):
@@ -104,6 +108,26 @@ class TestApply:
         stack = np.ones((3, 2, 2), dtype=complex)
         stack[2, 1, 0] = np.inf
         with pytest.raises(InvalidMatrix):
+            apply(KrausChannel.build([np.eye(2)]), stack)
+
+    def test_nan_in_a_stack_is_worded_as_for_one_matrix(self):
+        stack = np.ones((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(InvalidMatrix, match="^matrix has non-finite entries$"):
+            apply(KrausChannel.build([np.eye(2)]), stack)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 2, 3), r"^expected a square matrix, got shape \(2, 3\)$"),
+            ((2, 0, 0), r"^expected a square matrix, got shape \(0, 0\)$"),
+            ((2, 2, 2, 2), r"^expected a square matrix, got shape \(2, 2, 2, 2\)$"),
+        ],
+    )
+    def test_non_square_stack_is_worded_as_for_one_matrix(self, shape, message):
+        # a non-finite entry does not take precedence over the shape
+        stack = np.full(shape, np.nan, dtype=complex)
+        with pytest.raises(DimensionMismatch, match=message):
             apply(KrausChannel.build([np.eye(2)]), stack)
 
 

@@ -7,6 +7,7 @@ from cleanpovm import fuzz, witness
 from cleanpovm.cleanness import CleannessVerdict, OracleVerdict, decide_clean
 from cleanpovm.cli import main
 from cleanpovm.errors import ConstructionFailed, EpsilonSearchFailed
+from cleanpovm.linalg import Tolerances
 from cleanpovm.povm import validate
 from cleanpovm.witness import WitnessReport
 
@@ -138,3 +139,17 @@ def test_tolerance_override_run_has_no_violations(tmp_path, capsys):
                "--repro-dir", str(tmp_path)])
     assert "violations: 0" in capsys.readouterr().out.splitlines()
     assert rc == 0
+
+
+def test_search_that_ends_on_a_failed_report_is_a_failed_verification():
+    """Under ``--tol 1e-2`` case c copies an element whose norm is below the
+    zero gate into Q, so every trial's report finds Q invalid; the failed
+    search carries its last report and counts as a failed verification."""
+    tol = Tolerances(rank=1e-2, zero=1e-2)
+    rng = np.random.default_rng([3, 82])
+    _, povm = fuzz.random_quasi_qubit_instance(4, rng)
+    _, case_tag, problems = fuzz.check_instance(povm, rng, tol)
+    assert case_tag == "c"
+    assert problems == [
+        "witness verification failed: unital=True maps=True widened=True valid=False"
+    ]

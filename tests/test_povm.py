@@ -14,6 +14,7 @@ from cleanpovm.errors import (
 from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import DEFAULT_TOL, as_operator, haar_unitary, hermitian_part
 from cleanpovm.povm import (
+    Povm,
     PovmClass,
     _fro_norms,
     classify,
@@ -78,6 +79,35 @@ class TestValidate:
         m1[0, 1] = 1e-12
         p = validate([m1, diag(0.5, 0.5)])
         assert np.allclose(p.elements[0].matrix, p.elements[0].matrix.conj().T)
+
+
+class TestPovmStacks:
+    """A Povm keeps the matrix and eigenvalue stacks its elements view."""
+
+    def test_validate_hands_over_its_stacks(self):
+        _, p = random_quasi_qubit_instance(4, np.random.default_rng([7, 4, 1]))
+        assert p.matrices.shape == (p.n_outcomes, 4, 4)
+        assert p.eigenvalues.shape == (p.n_outcomes, 4)
+        for i, e in enumerate(p.elements):
+            assert np.shares_memory(e.matrix, p.matrices)
+            assert np.array_equal(e.matrix, p.matrices[i])
+            assert np.array_equal(e.eigenvalues, p.eigenvalues[i])
+        assert not p.matrices.flags.writeable and not p.eigenvalues.flags.writeable
+
+    def test_unchecked_keeps_the_matrices_as_given(self):
+        skew = diag(0.5, 0.5)
+        skew[0, 1] = 0.1
+        p = povm_unchecked([skew, np.eye(2) - skew])
+        assert np.array_equal(p.matrices[0], skew)
+        assert np.array_equal(p.eigenvalues[0], np.linalg.eigvalsh(hermitian_part(skew)))
+
+    def test_povm_from_elements_stacks_them(self):
+        _, p = random_quasi_qubit_instance(3, np.random.default_rng([7, 3, 2]))
+        order = list(reversed(range(p.n_outcomes)))
+        permuted = Povm(p.dim, tuple(p.elements[i] for i in order))
+        assert np.array_equal(permuted.matrices, p.matrices[order])
+        assert np.array_equal(permuted.eigenvalues, p.eigenvalues[order])
+        assert not permuted.matrices.flags.writeable
 
 
 class TestStackedValidate:

@@ -1,5 +1,6 @@
 """Tests for the four witness constructions and the independent verifier."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -529,3 +530,110 @@ class TestVerifyWitnessWork:
             monkeypatch.setattr(witness, name, None)  # any check would fail on a call
         with pytest.raises(PreconditionViolated, match="unknown widening direction 'sideways'"):
             verify_witness(p, sideways)
+
+
+def spy(monkeypatch, owner, name, calls):
+    """Record the first argument of every call of ``owner.name``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0] if owner is np.linalg else args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestOneJudgePerTrial:
+    """Each eps trial is judged by one verify_witness report; nothing after."""
+
+    @pytest.mark.parametrize("case", "abcd")
+    def test_accepted_witness_costs_one_apply_and_one_eigh(self, monkeypatch, case):
+        p = case_povm(case, 8)
+        verdict = decide_clean(p)
+        applies, eighs, eigvalshs = [], [], []
+        spy(monkeypatch, witness, "apply", applies)
+        spy(monkeypatch, np.linalg, "eigh", eighs)
+        spy(monkeypatch, np.linalg, "eigvalsh", eigvalshs)
+        w = build_witness(p, verdict)
+        assert w.case_tag == case
+
+        def on_q(arrays):
+            q = w.q.matrices
+            return sum(a.shape == q.shape and np.array_equal(a, q) for a in arrays)
+
+        assert [args[1] is w.q.matrices for args in applies].count(True) == 1
+        assert (on_q(eighs), on_q(eigvalshs)) == (1, 0)
+
+    @pytest.mark.parametrize("case", "bcd")
+    def test_verified_once_per_trial_and_never_after(self, monkeypatch, case):
+        # at d = 8 cases b and d accept their second trial, case c its first
+        p = case_povm(case, 8)
+        verdict = decide_clean(p)
+        built, verified = [], []
+        unchecked = witness.povm_unchecked
+        monkeypatch.setattr(
+            witness, "povm_unchecked", lambda *args: built.append(unchecked(*args)) or built[-1]
+        )
+        spy(monkeypatch, witness, "verify_witness", verified)
+        w = build_witness(p, verdict)
+        assert len(built) == {"b": 2, "c": 1, "d": 2}[case]
+        assert [args[1].q for args in verified] == built
+        assert verified[-1][1] is w
+        assert verify_witness(p, w).passed
+
+    @pytest.mark.parametrize(
+        "case, needs_larger, problem",
+        [("b", False, "loses positivity"), ("c", False, "loses positivity"),
+         ("d", True, "widening margin")],
+    )
+    def test_positivity_and_margin_both_failing(self, monkeypatch, case, needs_larger, problem):
+        # cases b and c check positivity first and ask for a smaller eps; case d
+        # checks the margin first and asks for a larger one
+        p = case_povm(case, 4)
+        verdict = decide_clean(p)
+        verify, judge, trials = witness.verify_witness, witness._judge, []
+
+        def narrow(*args):
+            return dataclasses.replace(verify(*args), widened=False)
+
+        def judged(*args, **kwargs):
+            trials.append(judge(*args, **kwargs))
+            return trials[-1]
+
+        monkeypatch.setattr(witness, "verify_witness", narrow)
+        monkeypatch.setattr(witness, "_psd_within_floor", lambda eigs: False)
+        monkeypatch.setattr(witness, "_judge", judged)
+        with pytest.raises(ConstructionFailed):
+            build_witness(p, verdict)
+        first = trials[0]
+        assert not first.report.widened
+        assert first.needs_larger is needs_larger
+        assert problem in first.problem
+
+    def test_failed_search_keeps_its_last_report(self):
+        # both supports weigh 1e-5: eps = 0.25 widens either by only 6.25e-7
+        p = validate([np.diag([1e-5, 0.0]), np.diag([0.0, 1e-5]), np.diag([1 - 1e-5, 1 - 1e-5])])
+        with pytest.raises(ConstructionFailed, match="last problem: widening margin") as info:
+            build_witness(p, decide_clean(p))
+        assert info.value.case_tag == "b"
+        report = info.value.diagnostics
+        assert list(report) == [f.name for f in dataclasses.fields(WitnessReport)]
+        assert report["q_valid"] and not report["widened"]
+        assert report["widening_margin"] == pytest.approx(6.25e-7, rel=1e-9)
+
+
+class TestWidenedIndexTies:
+    def test_first_best(self):
+        first_best = witness._first_best
+        assert first_best(np.array([0.05, 0.05 + 1e-16, 0.01])) == 0
+        assert first_best(np.array([0.01, 0.05, 0.05 - 1e-13])) == 1
+        assert first_best(np.array([0.05, 0.05 + 2e-12])) == 1
+        assert first_best(np.array([1e3, 1e3 + 1e-10])) == 0  # relative to |best|
+
+    @pytest.mark.parametrize("seed", [[7, 3, 193], [7, 12, 132], [7, 4, 229], [7, 8, 248]])
+    def test_tied_case_c_movers_widen_the_first(self, seed):
+        # two movers whose minimum eigenvalues drop by the same amount, up to rounding
+        _, p = random_quasi_qubit_instance(seed[1], np.random.default_rng(seed))
+        w = build_witness(p, decide_clean(p))
+        assert (w.case_tag, w.widened_index) == ("c", 0)
+        assert verify_witness(p, w).passed
