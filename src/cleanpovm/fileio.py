@@ -11,7 +11,10 @@ sort_keys=True)`` plus a newline, with each array written as its rows of
 ``[re, im]`` pairs. It formats each distinct float magnitude of a document
 once. Serialization is canonical (sorted keys, two-space indent, trailing
 newline), so ``serialize(parse(serialize(x))) == serialize(x)`` byte for
-byte.
+byte. Files are read as UTF-8; an unreadable or undecodable file is a
+:class:`FileFormatError`. :func:`load_verify_inputs` decodes the target POVM
+once: a bundle whose ``povm_p`` is the target file's text, nested as the
+writer nests it, is not decoded a second time.
 """
 
 from __future__ import annotations
@@ -251,11 +254,22 @@ def save_json(path, obj) -> None:
     Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
 
 
-def load_json(path):
+def _read_text(path) -> str:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _loads(text: str, path):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def load_json(path):
+    return _loads(_read_text(path), path)
 
 
 def save_povm(path, povm: Povm) -> None:
@@ -274,26 +288,66 @@ def load_witness_bundle(path, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Witn
     return witness_bundle_from_json(load_json(path), tol)
 
 
+_DECODER = json.JSONDecoder()
+_TARGET = object()  # stands in for a povm_p that is the --povm file's text
+
+
+def _bundle_tree(text: str, target_text: str) -> dict | None:
+    """``json.loads(text)``, with :data:`_TARGET` for a top-level ``povm_p`` copied verbatim.
+
+    The top-level object is read one member at a time. A ``povm_p`` value
+    that starts with the JSON value of ``target_text``, a valid POVM file,
+    re-indented as :func:`dumps_canonical` nests it is skipped: strict JSON
+    strings hold no raw newline, so re-indenting changes only whitespace
+    between tokens and the skipped text decodes to the target's tree. Any
+    other top level (not an object, a bad member, trailing data, a decode
+    error) gives ``None``: the caller then runs ``json.loads`` on the whole
+    text, so the file fails or decodes exactly as it would there.
+    """
+    nested = target_text.strip(" \t\n\r").replace("\n", "\n  ")
+    ws = json.decoder.WHITESPACE.match  # what json skips between tokens
+    obj = {}
+    try:
+        i = ws(text).end()
+        if text[i : i + 1] != "{":
+            return None
+        i = ws(text, i + 1).end()
+        while text[i : i + 1] == '"':
+            key, i = _DECODER.raw_decode(text, i)
+            i = ws(text, i).end()
+            if text[i : i + 1] != ":":
+                return None
+            i = ws(text, i + 1).end()
+            if key == "povm_p" and text.startswith(nested, i):
+                obj[key], i = _TARGET, i + len(nested)
+            else:
+                obj[key], i = _DECODER.raw_decode(text, i)
+            i = ws(text, i).end()
+            if text[i : i + 1] == "}":
+                return obj if ws(text, i + 1).end() == len(text) else None
+            if text[i : i + 1] != ",":
+                return None
+            i = ws(text, i + 1).end()
+    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        pass
+    return None
+
+
 def load_verify_inputs(povm_path, witness_path, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Witness]:
     """The target POVM file and the witness of a bundle, as ``cleanpovm verify`` reads them.
 
     The bundle's ``povm_p`` passes or fails as :func:`load_witness_bundle`
-    would decide, but when it equals the target file's tree it is neither
-    parsed nor validated again: equal trees hold equal numbers (up to the
-    sign of a zero), once the types that ``==`` does not tell apart and
-    the schema does (``2`` and ``2.0``, ``1`` and ``true``) are checked.
+    would decide, but when it is the ``--povm`` file's text, re-indented as
+    the bundle writer nests it, it is neither decoded nor validated again
+    (:func:`_bundle_tree`); any other ``povm_p`` is decoded and validated.
     """
-    tree = load_json(povm_path)
-    mats, labels = _povm_parts(tree)
-    target = _povm(mats, labels, tol)
-    bundle = load_json(witness_path)
+    target_text = _read_text(povm_path)
+    target = _povm(*_povm_parts(_loads(target_text, povm_path)), tol)
+    bundle_text = _read_text(witness_path)
+    bundle = _bundle_tree(bundle_text, target_text)
+    if bundle is None:
+        bundle = _loads(bundle_text, witness_path)
     _check_bundle_keys(bundle)
-    p = bundle["povm_p"]
-    same = (
-        p == tree
-        and _is_int(p["dim"])
-        and not any(_boolean_entry(rows, m) for rows, m in zip(p["elements"], mats))
-    )
-    if not same:
-        povm_from_json(p, tol)
+    if bundle["povm_p"] is not _TARGET:
+        povm_from_json(bundle["povm_p"], tol)
     return target, _witness_from_json(bundle, tol)

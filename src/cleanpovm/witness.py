@@ -639,9 +639,10 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
         raise PreconditionViolated("no rank-one support lies in W away from V^perp")
 
     aa_top = float(np.linalg.eigvalsh(hermitian_part(a @ a.conj().T))[-1])
+    y = u.conj().T @ p.matrices @ u  # P in u's coordinates; every trial solves E(X) = y
 
     def attempt(eps):
-        return _case_d_attempt(p, u, a, aa_top, eps, widenable, tol)
+        return _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol)
 
     first = attempt(_EPS_START)
     if first.witness is not None:
@@ -651,7 +652,7 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     return _eps_walk(attempt, _EPS_SCHEDULE[1:], False, "d")
 
 
-def _case_d_attempt(p, u, a, aa_top, eps, widenable, tol):
+def _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol):
     """One eps trial for case (d), judged as a :class:`_Trial`.
 
     Pulls every element back through the trial channel's block inverse and
@@ -682,7 +683,6 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, tol):
         return _Trial(None, f"closure failed at eps={eps}: {exc}", False)
 
     # in u, E(X) = sum m X m^dagger is block upper-triangular: solve it block by block
-    y = u.conj().T @ p.matrices @ u
     b_inv = np.linalg.inv(b_mat)
     alpha = -t / (1.0 - t) - t
     beta = t / (1.0 - t) ** 2 + t + t**2 / (1.0 - t)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cleanpovm
-from cleanpovm import witness
+from cleanpovm import fileio, witness
 from cleanpovm.cli import main
 from cleanpovm.errors import ZeroElement
 from cleanpovm.fileio import load_json, save_json, save_povm
@@ -327,6 +327,194 @@ class TestVerifyReadsTheTargetOnce:
         assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 0
         # the --povm file and Q; a povm_p that differs from --povm is validated as well
         assert len(count) == calls
+
+
+def _reference_load_verify_inputs(povm_path, witness_path, tol=fileio.DEFAULT_TOL):
+    """``load_verify_inputs`` as it read both files before the text shortcut: two
+    ``json.loads`` and a tree comparison, with no ``povm_p`` validation when equal."""
+
+    def boolean_entry(rows, a):
+        values = a.view(float)
+        r, c = np.nonzero((values == 0) | (values == 1))
+        return any(type(rows[i][j // 2][j % 2]) is bool for i, j in zip(r.tolist(), c.tolist()))
+
+    tree = fileio.load_json(povm_path)
+    mats, labels = fileio._povm_parts(tree)
+    target = fileio._povm(mats, labels, tol)
+    bundle = fileio.load_json(witness_path)
+    fileio._check_bundle_keys(bundle)
+    p = bundle["povm_p"]
+    same = (
+        p == tree
+        and fileio._is_int(p["dim"])
+        and not any(boolean_entry(rows, m) for rows, m in zip(p["elements"], mats))
+    )
+    if not same:
+        fileio.povm_from_json(p, tol)
+    return target, fileio._witness_from_json(bundle, tol)
+
+
+def _povm_p_value(text):
+    """The canonical ``povm_p`` value text of a POVM file's ``text``."""
+    return text.rstrip("\n").replace("\n", "\n  ")
+
+
+_BAD_P = '{"dim": 2.0, "elements": [[[[1, 0]]]]}'
+
+
+def _with_povm_p(value):
+    return lambda text, target: text.replace(
+        '"povm_p": ' + _povm_p_value(target), '"povm_p": ' + value(target), 1
+    )
+
+
+def _nan_in_q(text, target):
+    obj = json.loads(text)
+    obj["povm_q"]["elements"][0][0][0][0] = float("nan")
+    return fileio.dumps_canonical(obj)
+
+
+def _target_as_q(text, target):
+    obj = json.loads(text)
+    obj["povm_q"] = json.loads(target)
+    return fileio.dumps_canonical(obj)
+
+
+_BUNDLE_EDITS = {
+    "verbatim": lambda text, target: text,
+    "compact": _with_povm_p(lambda t: json.dumps(json.loads(t), separators=(",", ":"))),
+    "tabs": _with_povm_p(lambda t: _povm_p_value(t).replace("  ", "\t")),
+    # text-mode reads turn CRLF into LF, so this povm_p reads as verbatim
+    "crlf": _with_povm_p(lambda t: _povm_p_value(t).replace("\n", "\r\n")),
+    "duplicate-verbatim-first": _with_povm_p(
+        lambda t: _povm_p_value(t) + ',\n  "povm_p": ' + _BAD_P
+    ),
+    "duplicate-verbatim-last": _with_povm_p(
+        lambda t: _BAD_P + ',\n  "povm_p": ' + _povm_p_value(t)
+    ),
+    "target-under-channel": lambda text, target: _with_povm_p(lambda t: _BAD_P)(
+        text, target
+    ).replace('"channel": {', '"channel": {"povm_p": ' + _povm_p_value(target) + ",", 1),
+    "target-in-a-label": lambda text, target: _with_povm_p(lambda t: _BAD_P)(
+        text.replace("{", '{\n  "label": ' + json.dumps(_povm_p_value(target)) + ",", 1),
+        target,
+    ),
+    "trailing-data": lambda text, target: text + "x",
+    "truncated": lambda text, target: text[: len(text) // 2],
+    "top-level-array": lambda text, target: "[" + text + "]",
+    "bom": lambda text, target: "\ufeff" + text,
+    "nan-in-povm-q": _nan_in_q,
+    "target-as-povm-q": _target_as_q,  # Q = P cannot widen: rejected, exit 3
+    "semicolon-for-colon": lambda text, target: text.replace('"case": ', '"case"; ', 1),
+    "semicolon-for-comma": lambda text, target: text.replace(',\n  "channel"', ';\n  "channel"', 1),
+    "non-string-key": lambda text, target: text.replace("{", "{1: 2,", 1),
+    "empty-object": lambda text, target: "{ }",
+}
+
+_TARGET_EDITS = {
+    "leading-whitespace": lambda text: " \n\t" + text,
+    "trailing-blank-lines": lambda text: text + "\n\n",
+}
+
+
+class TestVerifyInputsMatchTheReference:
+    """verify's two-file read gives the bytes and exit code of the tree comparison it replaced."""
+
+    def _both(self, povm, bundle, capsys, monkeypatch):
+        argv = ["verify", "--povm", str(povm), "--witness", str(bundle)]
+        results = []
+        for load in (fileio.load_verify_inputs, _reference_load_verify_inputs):
+            monkeypatch.setattr(fileio, "load_verify_inputs", load)
+            capsys.readouterr()
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def _bundle(self, povm_file, tmp_path):
+        bundle = tmp_path / "w.json"
+        assert main(["check", "--input", str(povm_file), "--witness-out", str(bundle)]) == 3
+        return bundle
+
+    @pytest.mark.parametrize("fixture", ["qb_file", "oblique_file"])
+    @pytest.mark.parametrize("edit", list(_BUNDLE_EDITS))
+    def test_edited_bundle(self, request, tmp_path, capsys, monkeypatch, fixture, edit):
+        povm = request.getfixturevalue(fixture)
+        bundle = self._bundle(povm, tmp_path)
+        text = _BUNDLE_EDITS[edit](bundle.read_text(), povm.read_text())
+        if edit != "verbatim":
+            assert text != bundle.read_text()
+        bundle.write_text(text, encoding="utf-8", newline="")
+        new, reference = self._both(povm, bundle, capsys, monkeypatch)
+        assert new == reference
+        expected = {"verbatim": 0, "compact": 0, "tabs": 0, "crlf": 0,
+                    "duplicate-verbatim-last": 0, "target-as-povm-q": 3}
+        assert new[0] == expected.get(edit, 1)
+
+    @pytest.mark.parametrize("edit", list(_TARGET_EDITS))
+    def test_edited_target(self, oblique_file, tmp_path, capsys, monkeypatch, edit):
+        bundle = self._bundle(oblique_file, tmp_path)
+        oblique_file.write_text(_TARGET_EDITS[edit](oblique_file.read_text()))
+        new, reference = self._both(oblique_file, bundle, capsys, monkeypatch)
+        assert new == reference
+        assert new[0] == 0
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_verbatim_povm_p_is_never_decoded(self, qb_file, tmp_path, monkeypatch, relabel):
+        bundle = self._bundle(qb_file, tmp_path)
+        if relabel:
+            text = bundle.read_text()
+            bundle.write_text(text.replace('"povm_p": {', '"povm_p": {"labels": ["a", "b", "c"],', 1))
+        contexts, floats = [], []
+        original = fileio.matrix_from_json
+
+        def spy(rows, context="matrix"):
+            contexts.append(context)
+            return original(rows, context)
+
+        def parse_float(text):
+            floats.append(text)
+            return float(text)
+
+        monkeypatch.setattr(fileio, "matrix_from_json", spy)
+        monkeypatch.setattr(fileio, "_DECODER", json.JSONDecoder(parse_float=parse_float))
+        assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 0
+        elements = ["element 1", "element 2", "element 3"]
+        kraus = [c for c in contexts if c.startswith("kraus")]
+        # the --povm file's elements, then Q's and the Kraus operators; povm_p's only if relabelled
+        assert contexts == elements * (3 if relabel else 2) + kraus
+        assert kraus
+        # of the bundle's floats, povm_p's are decoded only if relabelled
+        in_bundle, in_povm_p = [], []
+        json.loads(bundle.read_text(), parse_float=in_bundle.append)
+        json.loads(json.dumps(load_json(bundle)["povm_p"]), parse_float=in_povm_p.append)
+        assert len(floats) == len(in_bundle) - (0 if relabel else len(in_povm_p)) > 0
+
+
+class TestFilesThatAreNotUtf8:
+    """A file that does not decode as UTF-8 is an input error, not a traceback."""
+
+    def test_check_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"dim": 2}')
+        assert main(["check", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"input error: cannot read {bad}: 'utf-8' codec")
+
+    def test_verify_povm(self, qb_file, tmp_path, capsys):
+        bundle = tmp_path / "w.json"
+        assert main(["check", "--input", str(qb_file), "--witness-out", str(bundle)]) == 3
+        qb_file.write_bytes(b"\xff" + qb_file.read_bytes())
+        capsys.readouterr()
+        assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 1
+        assert capsys.readouterr().err.startswith(f"input error: cannot read {qb_file}: 'utf-8' codec")
+
+    def test_verify_witness(self, qb_file, tmp_path, capsys):
+        bundle = tmp_path / "w.json"
+        assert main(["check", "--input", str(qb_file), "--witness-out", str(bundle)]) == 3
+        bundle.write_bytes(bundle.read_bytes() + b"\xff")
+        capsys.readouterr()
+        assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 1
+        assert capsys.readouterr().err.startswith(f"input error: cannot read {bundle}: 'utf-8' codec")
 
 
 class TestRandom:
