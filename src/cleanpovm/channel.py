@@ -1,11 +1,15 @@
 """Kraus channels in the Heisenberg picture.
 
 A channel acts on operators as ``E(A) = sum_a K_a^dagger A K_a`` with the
-closure ``sum_a K_a^dagger K_a = 1`` (so E is unital: E(1) = 1). Channels
-never widen the spectrum of a Hermitian operator. A channel with one Kraus
-operator close to the identity can be inverted as a linear map on operators
-by a d^2 x d^2 linear solve; witness construction inverts its own channels
-in closed form instead, and tests use this solve as their reference.
+closure ``sum_a K_a^dagger K_a = 1`` (so E is unital: E(1) = 1). A
+:class:`KrausChannel` holds its operators as one read-only ``(m, d, d)``
+stack: :func:`apply` maps with it, and :meth:`KrausChannel.closure_defect`
+is the one closure sum, which :meth:`KrausChannel.build` gates on and
+:func:`~cleanpovm.witness.verify_witness` reports. Channels never widen the
+spectrum of a Hermitian operator. A channel with one Kraus operator close
+to the identity can be inverted as a linear map on operators by a d^2 x d^2
+linear solve; witness construction inverts its own channels in closed form
+instead, and tests use this solve as their reference.
 """
 
 from __future__ import annotations
@@ -37,10 +41,19 @@ from .povm import Povm, validate
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Validated Kraus channel; use :meth:`build` to construct one."""
+    """Validated Kraus channel; use :meth:`build` to construct one.
+
+    ``kraus`` is one read-only ``(m, d, d)`` complex stack. The constructor
+    stacks whatever sequence of matrices it is given into a copy, once.
+    """
 
     dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
+
+    def __post_init__(self):
+        stack = np.array(self.kraus, dtype=complex)
+        stack.setflags(write=False)
+        object.__setattr__(self, "kraus", stack)
 
     @classmethod
     def build(cls, kraus, tol: Tolerances = DEFAULT_TOL) -> "KrausChannel":
@@ -50,22 +63,25 @@ class KrausChannel:
         d = ops[0].shape[0]
         if any(k.shape != (d, d) for k in ops):
             raise DimensionMismatch("Kraus operators have mixed dimensions")
-        residual = float(np.linalg.norm(sum(k.conj().T @ k for k in ops) - np.eye(d)))
+        channel = cls(d, ops)
+        residual = channel.closure_residual()
         if residual > tol.closure:
             raise ClosureViolation(
                 f"Kraus closure residual {residual:.3e} exceeds {tol.closure:.1e}",
                 residual=residual,
             )
-        frozen = []
-        for k in ops:
-            k = k.copy()
-            k.setflags(write=False)
-            frozen.append(k)
-        return cls(d, tuple(frozen))
+        return channel
+
+    def closure_defect(self) -> np.ndarray:
+        """``sum_a K_a^dagger K_a - 1``, the terms summed in Kraus order from zero."""
+        k = self.kraus
+        total = (k.conj().swapaxes(-1, -2) @ k).sum(axis=0, initial=0.0)
+        total.flat[:: self.dim + 1] -= 1.0  # the diagonal
+        return total
 
     def closure_residual(self) -> float:
-        total = sum(k.conj().T @ k for k in self.kraus)
-        return float(np.linalg.norm(total - np.eye(self.dim)))
+        """Frobenius norm of :meth:`closure_defect`."""
+        return float(np.linalg.norm(self.closure_defect()))
 
 
 def hs_norm(matrix) -> float:
@@ -88,7 +104,7 @@ def apply(channel: KrausChannel, operator) -> np.ndarray:
         raise DimensionMismatch(
             f"operator dimension {a.shape[-1]} does not match channel dimension {channel.dim}"
         )
-    k = np.stack(channel.kraus)
+    k = channel.kraus
     terms = k.conj().swapaxes(-1, -2) @ a[..., None, :, :] @ k
     return hermitian_part(terms.sum(axis=-3, initial=0.0))
 

@@ -12,9 +12,11 @@ sort_keys=True)`` plus a newline, with each array written as its rows of
 once. Serialization is canonical (sorted keys, two-space indent, trailing
 newline), so ``serialize(parse(serialize(x))) == serialize(x)`` byte for
 byte. Files are read as UTF-8; an unreadable or undecodable file is a
-:class:`FileFormatError`. :func:`load_verify_inputs` decodes the target POVM
-once: a bundle whose ``povm_p`` is the target file's text, nested as the
-writer nests it, is not decoded a second time.
+:class:`FileFormatError`, and so is text that ``json.loads`` cannot decode
+(nesting too deep, an integer too long to convert).
+:func:`load_verify_inputs` decodes the target POVM once: a bundle whose
+``povm_p`` is the target file's text, nested as the writer nests it, is not
+decoded a second time.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ def _read_text(path) -> str:
 def _loads(text: str, path):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
 
 

@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    CleanPovmError,
     ClosureViolation,
     DimensionMismatch,
     InfeasibleRequest,
@@ -189,37 +190,49 @@ def _povm(stack: np.ndarray, w, v, ranks, labels) -> Povm:
     return Povm(stack.shape[1], elements, labels, stack, w)
 
 
-def _check_axioms(a: np.ndarray, h: np.ndarray, w: np.ndarray, tol: Tolerances) -> None:
-    """The axiom gates of :func:`validate`, in its order and with its errors.
+def _axiom_violation(
+    a: np.ndarray, h: np.ndarray, w: np.ndarray, tol: Tolerances, extra: Sequence = ()
+) -> tuple[Optional[CleanPovmError], np.ndarray]:
+    """The first failing axiom gate of :func:`validate` and the norms of ``extra``.
 
     ``a`` is the ``(n, d, d)`` stack as given, ``h`` its Hermitian part and
-    ``w`` the ascending eigenvalues of ``h``, one row per element.
+    ``w`` the ascending eigenvalues of ``h``, one row per element. Every
+    Frobenius norm is taken in one pass over ``[a - a^dagger, a, h, sum h -
+    1]`` and the ``(k, d, d)`` stacks of ``extra``. Returns the error that
+    :func:`validate` raises, chosen in its order and worded as it words it
+    (``None`` when every gate passes), and the norms of ``extra``'s matrices.
     """
-    stacked = np.concatenate([a - a.conj().swapaxes(1, 2), a, h])
-    asym, size, h_size = _fro_norms(stacked).reshape(3, -1)
+    n = len(a)
+    total = h.sum(axis=0)  # adds the elements in order, as a running sum does
+    total.flat[:: a.shape[1] + 1] -= 1.0  # the diagonal
+    norms = _fro_norms(np.concatenate([a - a.conj().swapaxes(1, 2), a, h, total[None], *extra]))
+    asym, size, h_size = norms[: 3 * n].reshape(3, -1)
+    residual = float(norms[3 * n])
+    extra_norms = norms[3 * n + 1 :]
     non_hermitian = asym > tol.herm * np.maximum(1.0, size)
     lam_min = w[:, 0]
     not_psd = lam_min < -tol.psd * np.maximum(1.0, w[:, -1])
     zero = h_size <= tol.zero
-    bad = np.flatnonzero(non_hermitian | not_psd | zero)
-    if bad.size:
-        i = int(bad[0])
+    bad = non_hermitian | not_psd | zero
+    if bad.any():
+        i = int(bad.argmax())
         if non_hermitian[i]:
-            raise NonHermitianInput(f"element {i + 1}: asymmetry {asym[i]:.3e} exceeds tolerance")
-        if not_psd[i]:
-            raise NotPsd(
+            error = NonHermitianInput(f"element {i + 1}: asymmetry {asym[i]:.3e} exceeds tolerance")
+        elif not_psd[i]:
+            error = NotPsd(
                 f"element {i + 1}: minimum eigenvalue {lam_min[i]:.3e}",
                 index=i,
                 min_eigenvalue=float(lam_min[i]),
             )
-        raise ZeroElement(f"element {i + 1} is numerically zero", index=i)
-    total = h.sum(axis=0)  # adds the elements in order, as a running sum does
-    total[np.diag_indices(a.shape[1])] -= 1.0
-    residual = float(np.linalg.norm(total))
-    if residual > tol.closure:
-        raise ClosureViolation(
+        else:
+            error = ZeroElement(f"element {i + 1} is numerically zero", index=i)
+    elif residual > tol.closure:
+        error = ClosureViolation(
             f"sum of elements deviates from identity by {residual:.3e}", residual=residual
         )
+    else:
+        error = None
+    return error, extra_norms
 
 
 def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
@@ -235,7 +248,9 @@ def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> 
     a = _stack(matrices)
     h = hermitian_part(a)
     w, v, ranks = _eigh(h, tol)
-    _check_axioms(a, h, w, tol)
+    error, _ = _axiom_violation(a, h, w, tol)
+    if error is not None:
+        raise error
     return _povm(h, w, v, ranks, labels)
 
 

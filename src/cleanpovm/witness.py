@@ -40,7 +40,9 @@ trial's witness is returned as it is: its report was the verification.
 
 Certificates are verified by :func:`verify_witness` using only POVM/channel
 primitives, with frozen contract constants: channel residual 1e-8, closure
-residual 1e-10, spectrum widening margin 1e-6.
+residual 1e-10, spectrum widening margin 1e-6. Q's axiom gates, the
+channel's closure defect and the map residuals ``E(Q_i) - P_i`` are normed
+in one stacked pass.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from .linalg import (
     psd_sqrt,
     support_frame,
 )
-from .povm import Povm, RankOneSupport, _check_axioms, _fro_norms, povm_unchecked, rank_one_supports
+from .povm import Povm, RankOneSupport, _axiom_violation, povm_unchecked, rank_one_supports
 
 #: Frozen certificate contract: third parties check against these, no negotiation.
 MAP_RESIDUAL_TOL = 1e-8
@@ -153,7 +155,10 @@ def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> 
     Q kept when it was built or loaded, (ii) the channel satisfies closure to
     1e-10, (iii) E(Q_i) = P_i to 1e-8 element-wise, (iv) the spectrum widens
     by at least 1e-6 at the declared index in the declared direction. Every
-    call computes all four afresh.
+    call computes all four afresh: the channel's closure defect and the
+    residuals ``E(Q_i) - P_i`` of one stacked :func:`apply` join Q's axiom
+    gates in one Frobenius-norm pass, and a Q that fails a gate is reported,
+    not raised.
     """
     if p.dim != witness.q.dim or p.n_outcomes != witness.q.n_outcomes:
         raise DimensionMismatch("witness does not match the target POVM shape")
@@ -165,16 +170,12 @@ def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> 
         raise PreconditionViolated(f"unknown widening direction {witness.direction!r}")
 
     q_mats = witness.q.matrices
-    try:
-        _check_axioms(q_mats, hermitian_part(q_mats), witness.q.eigenvalues, tol)
-        q_valid = True
-    except CleanPovmError:
-        q_valid = False
-
-    closure_residual = witness.channel.closure_residual()
+    extra = (witness.channel.closure_defect()[None], apply(witness.channel, q_mats) - p.matrices)
+    error, norms = _axiom_violation(q_mats, hermitian_part(q_mats), witness.q.eigenvalues, tol, extra)
+    q_valid = error is None
+    closure_residual = float(norms[0])
     channel_unital = closure_residual <= CLOSURE_RESIDUAL_TOL
-
-    max_map_residual = float(_fro_norms(apply(witness.channel, q_mats) - p.matrices).max())
+    max_map_residual = float(norms[1:].max())
     maps_to_target = max_map_residual <= MAP_RESIDUAL_TOL
 
     i = witness.widened_index
@@ -190,8 +191,8 @@ def verify_witness(p: Povm, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> 
         channel_unital,
         maps_to_target,
         widened,
-        float(closure_residual),
-        float(max_map_residual),
+        closure_residual,
+        max_map_residual,
         float(widening_margin),
     )
 

@@ -47,6 +47,24 @@ class TestKrausChannel:
         ch = KrausChannel.build([np.eye(3)])
         assert hs_norm(np.eye(3) - ch.kraus[0]) == 0.0
 
+    def test_kraus_is_a_read_only_copy(self):
+        kraus = [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]
+        ch = KrausChannel.build(kraus)
+        assert ch.kraus.shape == (2, 2, 2) and not ch.kraus.flags.writeable
+        with pytest.raises(ValueError):
+            ch.kraus[0, 0, 0] = 2.0
+        kraus[0][0, 0] = 2.0
+        kraus[1] = np.ones((2, 2))
+        kraus.append(np.eye(2))
+        assert np.array_equal(ch.kraus, [np.eye(2), np.zeros((2, 2))])
+
+    def test_direct_construction_stacks_its_sequence(self):
+        ops = (np.eye(2), np.zeros((2, 2)))
+        ch = KrausChannel(2, ops)
+        assert ch.kraus.shape == (2, 2, 2) and ch.kraus.dtype == complex
+        assert not ch.kraus.flags.writeable
+        assert ch.closure_residual() == 0.0
+
 
 class TestApply:
     def test_identity_channel(self):

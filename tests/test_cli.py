@@ -517,6 +517,48 @@ class TestFilesThatAreNotUtf8:
         assert capsys.readouterr().err.startswith(f"input error: cannot read {bundle}: 'utf-8' codec")
 
 
+#: Text that json.loads cannot decode: nesting too deep, an integer too long.
+UNDECODABLE_JSON = {
+    "deep": ("[" * 100_000, "maximum recursion depth exceeded"),
+    "long-int": ('{"dim": ' + "7" * 5_000 + "}", "Exceeds the limit (4300 digits)"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE_JSON))
+class TestJsonThatCannotBeDecoded:
+    """Text that json.loads gives up on is an input error, not a traceback."""
+
+    def test_check_input(self, kind, tmp_path, capsys):
+        text, reason = UNDECODABLE_JSON[kind]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["check", "--input", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot read {bad}: ") and reason in err
+
+    def test_verify_povm(self, kind, qb_file, tmp_path, capsys):
+        text, reason = UNDECODABLE_JSON[kind]
+        bundle = tmp_path / "w.json"
+        assert main(["check", "--input", str(qb_file), "--witness-out", str(bundle)]) == 3
+        qb_file.write_text(text)
+        capsys.readouterr()
+        assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot read {qb_file}: ") and reason in err
+
+    def test_verify_witness(self, kind, qb_file, tmp_path, capsys):
+        # the bundle reader's member-by-member pass gives up too, and its
+        # json.loads fallback words the error
+        text, reason = UNDECODABLE_JSON[kind]
+        bundle = tmp_path / "w.json"
+        assert main(["check", "--input", str(qb_file), "--witness-out", str(bundle)]) == 3
+        bundle.write_text(text)
+        capsys.readouterr()
+        assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot read {bundle}: ") and reason in err
+
+
 class TestRandom:
     def test_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

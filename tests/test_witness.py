@@ -443,13 +443,17 @@ def case_povm(case, d):
 
 
 def reference_report(p, w, tol=Tolerances()):
-    """The report as Q's full re-validation and a per-element channel loop give it."""
+    """The report as Q's full re-validation and per-operator and per-element
+    channel loops give it."""
     try:
         validate([e.matrix for e in w.q.elements], tol, w.q.labels)
         q_valid = True
     except CleanPovmError:
         q_valid = False
-    closure = w.channel.closure_residual()
+    closure_sum = 0  # a running sum in Kraus order, as a Python loop adds
+    for k in w.channel.kraus:
+        closure_sum = closure_sum + k.conj().T @ k
+    closure = hs_norm(closure_sum - np.eye(p.dim))
     residual = max(
         hs_norm(apply(w.channel, qe.matrix) - pe.matrix) for qe, pe in zip(w.q.elements, p.elements)
     )
@@ -467,19 +471,44 @@ def bits(report):
     return [v if isinstance(v, bool) else float(v).hex() for v in vars(report).values()]
 
 
+def scaled(rows, factor):
+    return [[[factor * re, factor * im] for re, im in row] for row in rows]
+
+
 def tampered(p, w, kind):
-    """A bundle of (P, w) whose Q was edited before loading, read back."""
+    """A bundle of (P, w) whose Q, channel, index or P was edited before loading, read back."""
     obj = json.loads(dumps_canonical(witness_bundle_to_json(p, w)))
     q = obj["povm_q"]["elements"]
     if kind == "not-psd":
-        q[0] = [[[-re, -im] for re, im in row] for row in q[0]]
+        q[0] = scaled(q[0], -1.0)
     elif kind == "non-hermitian":
         q[0][0][1][0] += 0.1
     elif kind == "zero":
         q[-1] = [[[0.0, 0.0] for _ in row] for row in q[-1]]
-    else:  # closure
-        q[0] = [[[1.01 * re, 1.01 * im] for re, im in row] for row in q[0]]
+    elif kind == "closure":
+        q[0] = scaled(q[0], 1.01)
+    elif kind == "kraus":
+        kraus = obj["channel"]["kraus"]
+        kraus[0] = scaled(kraus[0], 1.01)
+    elif kind == "index":  # the lowest element other than the widened one
+        obj["widened_index"] = 2 if obj["widened_index"] == 1 else 1
+    else:  # p: the first two elements mixed, so that P stays a POVM
+        e = obj["povm_p"]["elements"]
+        a, b = np.array(e[0]), np.array(e[1])
+        e[0], e[1] = (0.999 * a + 0.001 * b).tolist(), (0.999 * b + 0.001 * a).tolist()
     return witness_bundle_from_json(obj)
+
+
+#: The report flags each edit must fail.
+TAMPER_FAILS = {
+    "not-psd": ("q_valid",),
+    "non-hermitian": ("q_valid",),
+    "zero": ("q_valid",),
+    "closure": ("q_valid",),
+    "kraus": ("channel_unital", "maps_to_target"),
+    "index": ("widened",),
+    "p": ("maps_to_target",),
+}
 
 
 class TestReportEquivalence:
@@ -495,13 +524,18 @@ class TestReportEquivalence:
         assert report.passed
         assert bits(report) == bits(reference_report(p, w))
 
-    @pytest.mark.parametrize("kind", ["not-psd", "non-hermitian", "zero", "closure"])
-    @pytest.mark.parametrize("case", "abcd")
+    # in cases b and d every element of these POVMs widens, so a moved index
+    # still passes there
+    @pytest.mark.parametrize(
+        "case, kind",
+        [(case, kind) for kind in TAMPER_FAILS for case in "abcd" if kind != "index" or case in "ac"],
+    )
     def test_tampered_bundle(self, case, kind):
         p = case_povm(case, 4)
         target, loaded = tampered(p, build_witness(p, decide_clean(p)), kind)
         report = verify_witness(target, loaded)
-        assert not report.q_valid and not report.passed
+        assert not any(getattr(report, flag) for flag in TAMPER_FAILS[kind])
+        assert not report.passed
         assert bits(report) == bits(reference_report(target, loaded))
 
 
@@ -526,8 +560,9 @@ class TestVerifyWitnessWork:
         p = qb_not_clean()
         w = build_witness(p, decide_clean(p))
         sideways = Witness(w.q, w.channel, w.widened_index, w.case_tag, w.epsilon, "sideways")
-        for name in ("_check_axioms", "apply"):
+        for name in ("_axiom_violation", "apply"):
             monkeypatch.setattr(witness, name, None)  # any check would fail on a call
+        monkeypatch.setattr(KrausChannel, "closure_defect", None)
         with pytest.raises(PreconditionViolated, match="unknown widening direction 'sideways'"):
             verify_witness(p, sideways)
 
