@@ -28,7 +28,10 @@ from .errors import (
     SingularSuperop,
 )
 from .linalg import (
+    CLOSURE_TOL,
     DEFAULT_TOL,
+    PSD_TOL,
+    SOLVE_RESIDUAL_TOL,
     Tolerances,
     as_operator,
     eig_hermitian,
@@ -56,7 +59,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus", stack)
 
     @classmethod
-    def build(cls, kraus, tol: Tolerances = DEFAULT_TOL) -> "KrausChannel":
+    def build(cls, kraus) -> "KrausChannel":
         ops = [as_operator(k) for k in kraus]
         if not ops:
             raise DimensionMismatch("a channel needs at least one Kraus operator")
@@ -65,9 +68,9 @@ class KrausChannel:
             raise DimensionMismatch("Kraus operators have mixed dimensions")
         channel = cls(d, ops)
         residual = channel.closure_residual()
-        if residual > tol.closure:
+        if residual > CLOSURE_TOL:
             raise ClosureViolation(
-                f"Kraus closure residual {residual:.3e} exceeds {tol.closure:.1e}",
+                f"Kraus closure residual {residual:.3e} exceeds {CLOSURE_TOL:.1e}",
                 residual=residual,
             )
         return channel
@@ -143,16 +146,16 @@ def f_bound(epsilon: float, dim: int) -> NearIdentityBound:
     return NearIdentityBound(float(epsilon), float(f), inverse)
 
 
-def min_eig_lower_bound(operator, epsilon: float, dim: int, tol: Tolerances = DEFAULT_TOL) -> float:
+def min_eig_lower_bound(operator, epsilon: float, dim: int) -> float:
     """Lower bound on the minimum eigenvalue of the inverse image E^-1(X).
 
     Requires X PSD and f(eps) < 1; returns
     ``lambda_min(X) - lambda_max(X) f sqrt(d) / (1 - f)``. A positive value
     certifies that the inverse image is PSD without computing it.
     """
-    w, _ = eig_hermitian(operator, tol)
+    w, _ = eig_hermitian(operator)
     lam_min, lam_max = float(w[0]), float(w[-1])
-    if lam_min < -tol.psd * max(1.0, lam_max):
+    if lam_min < -PSD_TOL * max(1.0, lam_max):
         raise NotPsd("bound requires a PSD operator", min_eigenvalue=lam_min)
     bound = f_bound(epsilon, dim)
     if bound.f_eps >= 1.0:
@@ -167,12 +170,12 @@ class PositiveMapInverse:
     channel: KrausChannel
     superop: np.ndarray
 
-    def solve(self, target, residual_tol: float = 1e-8) -> np.ndarray:
+    def solve(self, target) -> np.ndarray:
         """Solve ``E(A) = target`` for one target or a stack; see :func:`superop_solve`."""
-        return superop_solve(self.superop, target, residual_tol)
+        return superop_solve(self.superop, target)
 
 
-def invert_positive_map(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> PositiveMapInverse:
+def invert_positive_map(channel: KrausChannel) -> PositiveMapInverse:
     """Invertible-map handle for the channel, certified on the identity probe.
 
     The solve is a direct d^2 x d^2 linear solve, never a Neumann series, and
@@ -181,9 +184,12 @@ def invert_positive_map(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) ->
     """
     handle = PositiveMapInverse(channel, superop(channel))
     probe = handle.solve(np.eye(channel.dim))  # E is unital, so E^-1(1) = 1
-    if np.linalg.norm(probe - np.eye(channel.dim)) > 1e-8:
+    if np.linalg.norm(probe - np.eye(channel.dim)) > SOLVE_RESIDUAL_TOL:
         raise SingularSuperop("identity probe failed; map is not reliably invertible")
     return handle
+
+
+SPECTRUM_SLACK = 1e-10  # the noise spectrum_width_check forgives at each end
 
 
 @dataclass(frozen=True)
@@ -194,30 +200,22 @@ class SpectrumWidthReport:
     input_max: float
     output_min: float
     output_max: float
-    tolerance: float
 
     @property
     def ok(self) -> bool:
         return (
-            self.output_min >= self.input_min - self.tolerance
-            and self.output_max <= self.input_max + self.tolerance
+            self.output_min >= self.input_min - SPECTRUM_SLACK
+            and self.output_max <= self.input_max + SPECTRUM_SLACK
         )
 
 
-def spectrum_width_check(
-    channel: KrausChannel,
-    operator,
-    tolerance: float = 1e-10,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SpectrumWidthReport:
+def spectrum_width_check(channel: KrausChannel, operator) -> SpectrumWidthReport:
     """Check that the channel did not widen the spectrum of a Hermitian operator.
 
-    A violation beyond floating-point noise indicates a broken channel (or a
-    bug), never a property of a valid channel.
+    A violation beyond floating-point noise (:data:`SPECTRUM_SLACK`) indicates
+    a broken channel (or a bug), never a property of a valid channel.
     """
-    w_in, _ = eig_hermitian(operator, tol)
+    w_in, _ = eig_hermitian(operator)
     w_out = np.linalg.eigvalsh(apply(channel, operator))
-    return SpectrumWidthReport(
-        float(w_in[0]), float(w_in[-1]), float(w_out[0]), float(w_out[-1]), tolerance
-    )
+    return SpectrumWidthReport(float(w_in[0]), float(w_in[-1]), float(w_out[0]), float(w_out[-1]))
 

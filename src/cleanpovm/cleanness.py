@@ -64,10 +64,6 @@ class BlockPartition:
         if len(self.basis_element_indices) != d:
             raise ValueError("one element index (or None) per basis column required")
 
-    @property
-    def dim(self) -> int:
-        return self.basis_kets.shape[0]
-
     def block_element_indices(self) -> list[list[Optional[int]]]:
         """Blocks translated from basis positions to POVM element indices."""
         return [[self.basis_element_indices[j] for j in block] for block in self.blocks]

@@ -13,7 +13,6 @@ import functools
 import sys
 import traceback
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -146,8 +145,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = fileio.output_dir(args.out)
     paths = []
     for index in range(args.count):
         rng = np.random.default_rng([args.seed, index])
@@ -191,17 +189,14 @@ def cmd_fuzz(args) -> int:
     }
 
     if summary.violations:
-        repro_dir = Path(args.repro_dir)
-        repro_dir.mkdir(parents=True, exist_ok=True)
+        repro_dir = fileio.output_dir(args.repro_dir)
         for v in summary.violations:
             path = repro_dir / f"fuzz-repro-d{summary.dim}-seed{summary.seed}-{v.index:05d}.json"
             fileio.save_json(path, v.povm_json)
             print(f"violation at index {v.index} ({v.scenario}): {v.message}", file=sys.stderr)
             print(f"reproduction POVM written to {path}", file=sys.stderr)
-        _write_json(args, payload)
-        return EXIT_NOT_CLEAN
     _write_json(args, payload)
-    return EXIT_CLEAN
+    return EXIT_NOT_CLEAN if summary.violations else EXIT_CLEAN
 
 
 @functools.cache

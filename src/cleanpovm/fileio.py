@@ -3,15 +3,16 @@
 Complex entries are stored as two-element arrays ``[re, im]`` of decimal
 floats (locale-proof, and round-tripped bit-exactly by the shortest-repr
 float encoding); on reading, an entry must be a number other than
-``true``/``false``, and every ``dim`` an integer. Element indices in files
-are 1-based. In-memory trees (``povm_to_json``, ``witness_bundle_to_json``)
-hold matrices as numpy arrays; :func:`dumps_canonical` is the one place a
-matrix becomes text, and its output equals ``json.dumps(tree, indent=2,
-sort_keys=True)`` plus a newline, with each array written as its rows of
-``[re, im]`` pairs. It formats each distinct float magnitude of a document
-once. Serialization is canonical (sorted keys, two-space indent, trailing
-newline), so ``serialize(parse(serialize(x))) == serialize(x)`` byte for
-byte. Files are read as UTF-8; an unreadable or undecodable file is a
+``true``/``false``, every ``dim`` an integer, and a bundle's ``epsilon`` a
+finite number. Element indices in files are 1-based. In-memory trees
+(``povm_to_json``, ``witness_bundle_to_json``) hold matrices as numpy
+arrays; :func:`dumps_canonical` is the one place a matrix becomes text, and
+its output equals ``json.dumps(tree, indent=2, sort_keys=True)`` plus a
+newline, with each array written as its rows of ``[re, im]`` pairs. It
+formats each distinct float magnitude of a document once. Serialization is
+canonical (sorted keys, two-space indent, trailing newline), so
+``serialize(parse(serialize(x))) == serialize(x)`` byte for byte. Files are
+read as UTF-8; an unreadable, undecodable or unwritable file is a
 :class:`FileFormatError`, and so is text that ``json.loads`` cannot decode
 (nesting too deep, an integer too long to convert).
 :func:`load_verify_inputs` decodes the target POVM once: a bundle whose
@@ -22,6 +23,7 @@ decoded a second time.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -167,11 +169,10 @@ def _witness_from_json(obj: dict, tol: Tolerances) -> Witness:
         raise FileFormatError(f"widened_index must be an integer, got {widened!r}")
     if not 1 <= widened <= q.n_outcomes:
         raise FileFormatError("widened_index out of range")
-    try:
-        epsilon = float(obj["epsilon"])
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"epsilon must be a number: {exc}") from exc
-    return Witness(q, channel, widened - 1, case, epsilon, direction)
+    epsilon = obj["epsilon"]
+    if type(epsilon) not in (int, float) or not abs(epsilon) <= sys.float_info.max:
+        raise FileFormatError(f"epsilon must be a finite number, got {epsilon!r}")
+    return Witness(q, channel, widened - 1, case, float(epsilon), direction)
 
 
 def witness_bundle_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Witness]:
@@ -253,7 +254,19 @@ def dumps_canonical(obj) -> str:
 
 
 def save_json(path, obj) -> None:
-    Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+    try:
+        Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def output_dir(path) -> Path:
+    """The directory ``path``, made with its parents when missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
+    return Path(path)
 
 
 def _read_text(path) -> str:

@@ -45,10 +45,6 @@ class FuzzSummary:
     scenario_counts: Counter = field(default_factory=Counter)
     violations: list[FuzzViolation] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 _SCENARIOS = (
     ("rank-one", 0.10),

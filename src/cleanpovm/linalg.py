@@ -32,13 +32,18 @@ from .errors import (
 )
 
 
+#: The fixed gates of :class:`Tolerances`, and the residual bound of :func:`superop_solve`.
+HERM_TOL = PSD_TOL = CLOSURE_TOL = 1e-9
+SOLVE_RESIDUAL_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance bundle for all numeric decisions, each finite and nonnegative.
+    """The two settable tolerances, each finite and nonnegative, and the fixed gates.
 
-    * ``herm``: ``||A - A^dagger||_F <= herm * max(1, ||A||_F)``.
-    * ``psd``: ``lambda_min >= -psd * max(1, lambda_max)``.
-    * ``closure``: absolute, ``||sum_i P_i - 1||_F <= closure`` (and Kraus).
+    * ``HERM_TOL``: ``||A - A^dagger||_F <= HERM_TOL * max(1, ||A||_F)``.
+    * ``PSD_TOL``: ``lambda_min >= -PSD_TOL * max(1, lambda_max)``.
+    * ``CLOSURE_TOL``: absolute, ``||sum_i P_i - 1||_F <= CLOSURE_TOL`` (and Kraus).
     * ``rank``: an element's rank counts eigenvalues above ``rank *
       lambda_max``; :func:`support_frame` decides every subspace basis and
       supplementarity test of support geometry, and every ket membership
@@ -52,14 +57,11 @@ class Tolerances:
       scalar and off-diagonal tests compare with ``zero * max(1, ||P_i||_F)``.
     """
 
-    herm: float = 1e-9
-    psd: float = 1e-9
-    closure: float = 1e-9
     rank: float = 1e-8
     zero: float = 1e-8
 
     def __post_init__(self):
-        for name in ("herm", "psd", "closure", "rank", "zero"):
+        for name in ("rank", "zero"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"tolerance {name!r} must be finite and nonnegative")
 
@@ -93,19 +95,19 @@ def hermitian_part(matrix) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def eig_hermitian(matrix, tol: Tolerances = DEFAULT_TOL):
+def eig_hermitian(matrix):
     """Eigendecomposition of a (numerically) Hermitian matrix.
 
-    The input is symmetrized first; asymmetry beyond ``tol.herm`` relative
-    to ``max(1, ||M||_HS)`` is an error, below it is silently repaired.
+    The input is symmetrized first; asymmetry beyond the hermiticity gate
+    is an error, below it is silently repaired.
     Returns eigenvalues ascending and orthonormal eigenvector columns.
     """
     a = as_operator(matrix)
     scale = max(1.0, float(np.linalg.norm(a)))
     asym = float(np.linalg.norm(a - a.conj().T))
-    if asym > tol.herm * scale:
+    if asym > HERM_TOL * scale:
         raise NonHermitianInput(
-            f"asymmetry {asym:.3e} exceeds {tol.herm:.1e} * {scale:.3e}"
+            f"asymmetry {asym:.3e} exceeds {HERM_TOL:.1e} * {scale:.3e}"
         )
     w, v = np.linalg.eigh(hermitian_part(a))
     return w, v
@@ -188,13 +190,13 @@ def in_span(kets, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     return residual <= tol.rank * np.linalg.norm(k, axis=0)
 
 
-def psd_sqrt(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root; negative eigenvalues within tolerance are clamped."""
-    w, v = eig_hermitian(matrix, tol)
+def psd_sqrt(matrix) -> np.ndarray:
+    """Hermitian PSD square root; negative eigenvalues within the PSD gate are clamped."""
+    w, v = eig_hermitian(matrix)
     lam_max = max(float(w[-1]), 0.0)
-    if w[0] < -tol.psd * max(1.0, lam_max):
+    if w[0] < -PSD_TOL * max(1.0, lam_max):
         raise NotPsd(
-            f"minimum eigenvalue {w[0]:.3e} below -{tol.psd:.1e} * {max(1.0, lam_max):.3e}",
+            f"minimum eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e} * {max(1.0, lam_max):.3e}",
             min_eigenvalue=float(w[0]),
         )
     w = np.clip(w, 0.0, None)
@@ -220,12 +222,12 @@ def superop_matrix(kraus) -> np.ndarray:
     return s
 
 
-def superop_solve(superop, target, residual_tol: float = 1e-8) -> np.ndarray:
+def superop_solve(superop, target) -> np.ndarray:
     """Solve ``E(A) = target`` for A given the d^2 x d^2 superoperator matrix of E.
 
     ``target`` is one d x d matrix or an ``(m, d, d)`` stack, solved with a
     single factorization. Each solution must be finite and reproduce its
-    target to ``residual_tol`` relative to ``max(1, ||target||)``, else
+    target to ``SOLVE_RESIDUAL_TOL`` relative to ``max(1, ||target||)``, else
     :class:`SingularSuperop` is raised. The solutions are re-Hermitized; for
     an invertible positivity-preserving map this is exact because such maps
     send Hermitian to Hermitian.
@@ -244,8 +246,8 @@ def superop_solve(superop, target, residual_tol: float = 1e-8) -> np.ndarray:
         raise SingularSuperop("linear solve produced non-finite values")
     residual = np.linalg.norm(s @ x - rhs, axis=0)
     worst = float(np.max(residual / np.maximum(1.0, np.linalg.norm(rhs, axis=0))))
-    if worst > residual_tol:
-        raise SingularSuperop(f"round-trip residual {worst:.3e} exceeds {residual_tol:.1e}")
+    if worst > SOLVE_RESIDUAL_TOL:
+        raise SingularSuperop(f"round-trip residual {worst:.3e} exceeds {SOLVE_RESIDUAL_TOL:.1e}")
     return hermitian_part(x.T.reshape(t.shape))
 
 

@@ -24,7 +24,10 @@ from .errors import (
     ZeroElement,
 )
 from .linalg import (
+    CLOSURE_TOL,
     DEFAULT_TOL,
+    HERM_TOL,
+    PSD_TOL,
     Tolerances,
     as_operator,
     haar_unitary,
@@ -69,10 +72,6 @@ class PovmElement:
     rank: int
     weight: Optional[float]
     support: Optional[np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def min_eigenvalue(self) -> float:
@@ -209,9 +208,9 @@ def _axiom_violation(
     asym, size, h_size = norms[: 3 * n].reshape(3, -1)
     residual = float(norms[3 * n])
     extra_norms = norms[3 * n + 1 :]
-    non_hermitian = asym > tol.herm * np.maximum(1.0, size)
+    non_hermitian = asym > HERM_TOL * np.maximum(1.0, size)
     lam_min = w[:, 0]
-    not_psd = lam_min < -tol.psd * np.maximum(1.0, w[:, -1])
+    not_psd = lam_min < -PSD_TOL * np.maximum(1.0, w[:, -1])
     zero = h_size <= tol.zero
     bad = non_hermitian | not_psd | zero
     if bad.any():
@@ -226,7 +225,7 @@ def _axiom_violation(
             )
         else:
             error = ZeroElement(f"element {i + 1} is numerically zero", index=i)
-    elif residual > tol.closure:
+    elif residual > CLOSURE_TOL:
         error = ClosureViolation(
             f"sum of elements deviates from identity by {residual:.3e}", residual=residual
         )
@@ -355,11 +354,11 @@ def random_povm(kind: str, dim: int, n_elements: int, seed, n_rank_one=None) -> 
     raise InfeasibleRequest(f"unknown POVM kind {kind!r}")
 
 
-def _close_with_remainder(parts: list[np.ndarray], dim: int, rng, margin: float = 0.1) -> Povm:
-    """Scale ``parts`` so their sum stays below (1 - margin) and append the remainder."""
+def _close_with_remainder(parts: list[np.ndarray], dim: int, rng) -> Povm:
+    """Scale ``parts`` so their sum's top eigenvalue is 0.9 and append the remainder."""
     total = sum(parts)
     lam = float(np.linalg.eigvalsh(total)[-1])
-    scale = (1.0 - margin) / lam
+    scale = 0.9 / lam
     parts = [scale * p for p in parts]
     remainder = np.eye(dim) - sum(parts)
     order = list(rng.permutation(len(parts) + 1))

@@ -73,6 +73,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    PSD_TOL,
     Tolerances,
     as_ket,
     hermitian_part,
@@ -377,7 +378,7 @@ def witness_case_a(p: Povm, tol: Tolerances = DEFAULT_TOL) -> Witness:
     kraus = np.zeros((d, d, d), dtype=complex)
     kraus[range(d), 0, range(d)] = 1.0  # K_alpha = |e1><e_alpha|
     q = povm_unchecked(q_mats, tol, p.labels)
-    witness = Witness(q, KrausChannel.build(kraus, tol), 0, "a", 0.0, MAX_EIG_INCREASE)
+    witness = Witness(q, KrausChannel.build(kraus), 0, "a", 0.0, MAX_EIG_INCREASE)
     return _eps_walk(lambda _: _judge(p, witness, tol), (0.0,), False, "a")  # one trial
 
 
@@ -485,13 +486,13 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
         adapted = np.stack([q_adapted[i] for i in range(p.n_outcomes)])
         q = povm_unchecked(hermitian_part(u @ adapted @ u.conj().T), tol, p.labels)
         w_abs = q.eigenvalues[absorber]
-        if w_abs[0] < tol.psd * max(w_abs[-1], 0.0):  # strictly inside the PSD cone
+        if w_abs[0] < PSD_TOL * max(w_abs[-1], 0.0):  # strictly inside the PSD cone
             headroom = "absorbing element loses positivity at eps={eps}"
         elif not _psd_within_floor(q.eigenvalues[others]):
             headroom = "a widened element loses positivity at eps={eps}"
         else:
             headroom = ""
-        channel = KrausChannel.build([u @ mk @ u.conj().T for mk in case_b_kraus(a, eps)], tol)
+        channel = KrausChannel.build([u @ mk @ u.conj().T for mk in case_b_kraus(a, eps)])
         witness = Witness(q, channel, designated.index, "b", eps, MAX_EIG_INCREASE)
         return _judge(p, witness, tol, headroom)
 
@@ -562,7 +563,7 @@ def _case_c(p: Povm, split: _Split, tol: Tolerances) -> Witness:
         headroom = "" if floor_ok else "a rescaled element loses positivity at eps={eps}"
         kraus = [eps * split.pi_v, eps * pi_w, math.sqrt(1.0 - eps**2) * np.eye(d)]
         best = movers[_first_best(min_eigs - eigs[:, 0])]
-        witness = Witness(q, KrausChannel.build(kraus, tol), best, "c", eps, MIN_EIG_DECREASE)
+        witness = Witness(q, KrausChannel.build(kraus), best, "c", eps, MIN_EIG_DECREASE)
         return _judge(p, witness, tol, headroom, _DROP_TEXT)
 
     s_max = float(np.min(_rescaling_bounds(p.matrices[movers], offs[movers])))
@@ -668,7 +669,7 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol):
     coeff = 1.0 / (1.0 - t) ** 2 - 1.0  # closure forces B^2 = 1 - coeff A A^dagger
     if coeff * aa_top >= 1.0 - 1e-9:
         return _Trial(None, f"B(eps) undefined at eps={eps}", False)
-    b_mat = psd_sqrt(np.eye(k) - coeff * (a @ a.conj().T), tol)
+    b_mat = psd_sqrt(np.eye(k) - coeff * (a @ a.conj().T))
 
     r_v = np.zeros((d, d), dtype=complex)
     r_v[:k, :k] = b_mat
@@ -679,7 +680,7 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol):
     m3 = math.sqrt(1.0 - t) * (r_v + r_w)
     kraus = [u @ mk.conj().T @ u.conj().T for mk in (eps * r_v, eps * r_w, m3)]
     try:
-        channel = KrausChannel.build(kraus, tol)
+        channel = KrausChannel.build(kraus)
     except ClosureViolation as exc:
         return _Trial(None, f"closure failed at eps={eps}: {exc}", False)
 

@@ -137,7 +137,7 @@ def test_criterion_4_spectrum_width_monotonicity():
             rng = np.random.default_rng([_SEED, 4, d, index])
             channel = random_channel(d, int(rng.integers(1, 5)), rng)
             x = random_hermitian(d, rng)
-            if not spectrum_width_check(channel, x, 1e-10).ok:
+            if not spectrum_width_check(channel, x).ok:
                 violations += 1
     ok = violations == 0
     _report(4, "spectrum-width monotonicity", ok, f"3000 pairs, {time.perf_counter() - start:.1f} s")

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import cleanpovm
-from cleanpovm import fileio, witness
+from cleanpovm import cli, fileio, witness
 from cleanpovm.cli import main
 from cleanpovm.errors import ZeroElement
 from cleanpovm.fileio import load_json, save_json, save_povm
+from cleanpovm.fuzz import FuzzSummary, FuzzViolation
 from cleanpovm.povm import random_split_povm, validate
 
 
@@ -246,6 +247,31 @@ class TestVerify:
         other = tmp_path / "p3.json"
         save_povm(other, validate([np.eye(3) / 3 * 3]))
         assert main(["verify", "--povm", str(other), "--witness", str(bundle)]) == 1
+
+    @pytest.mark.parametrize(
+        "epsilon",
+        ["0.5", True, float("nan"), "inf", float("inf"), 10**400],
+        ids=["string", "boolean", "nan", "inf-string", "infinity", "overflowing-integer"],
+    )
+    def test_epsilon_must_be_a_finite_number(self, qb_file, tmp_path, capsys, epsilon):
+        bundle = tmp_path / "w.json"
+        assert main(["check", "--input", str(qb_file), "--witness-out", str(bundle)]) == 3
+        obj = load_json(bundle)
+        obj["epsilon"] = epsilon
+        bundle.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 1
+        assert capsys.readouterr() == (
+            "", f"input error: epsilon must be a finite number, got {epsilon!r}\n"
+        )
+
+    def test_integer_epsilon_is_a_number(self, qb_file, tmp_path, capsys):
+        bundle = tmp_path / "w.json"
+        assert main(["check", "--input", str(qb_file), "--witness-out", str(bundle)]) == 3
+        obj = load_json(bundle)
+        obj["epsilon"] = 0
+        bundle.write_text(json.dumps(obj))
+        assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 0
 
 
 _QB_ACCEPTED = (
@@ -557,6 +583,38 @@ class TestJsonThatCannotBeDecoded:
         assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"input error: cannot read {bundle}: ") and reason in err
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is an input error, not a traceback."""
+
+    def _fails(self, argv, path, capsys):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"input error: cannot write {path}: ")
+
+    def test_check_json_out_in_a_missing_directory(self, qb_file, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        self._fails(["check", "--input", str(qb_file), "--json-out", str(path)], path, capsys)
+
+    def test_check_witness_out_in_a_missing_directory(self, qb_file, tmp_path, capsys):
+        path = tmp_path / "missing" / "w.json"
+        self._fails(["check", "--input", str(qb_file), "--witness-out", str(path)], path, capsys)
+
+    def test_random_out_names_a_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        self._fails(["random", "--kind", "scalar", "--dim", "2", "--count", "1", "--seed", "0",
+                     "--out", str(path)], path, capsys)
+
+    def test_fuzz_repro_dir_names_a_file(self, tmp_path, capsys, monkeypatch):
+        # one planted violation, so the run writes a reproduction file
+        violation = FuzzViolation(0, "scalar", "planted", {})
+        monkeypatch.setattr(cli, "run_fuzz", lambda *args: FuzzSummary(2, 1, 0, 0.0, violations=[violation]))
+        path = tmp_path / "taken"
+        path.write_text("")
+        self._fails(["fuzz", "--dim", "2", "--count", "1", "--seed", "0", "--repro-dir", str(path)],
+                    path, capsys)
 
 
 class TestRandom:

@@ -1,16 +1,23 @@
 """Tests for the dense linear-algebra primitives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cleanpovm.channel import SPECTRUM_SLACK
 from cleanpovm.errors import (
     NonHermitianInput,
     NotPsd,
     SingularSuperop,
 )
 from cleanpovm.linalg import (
+    CLOSURE_TOL,
     DEFAULT_TOL,
+    HERM_TOL,
+    PSD_TOL,
+    SOLVE_RESIDUAL_TOL,
     Tolerances,
     eig_hermitian,
     haar_unitary,
@@ -308,7 +315,9 @@ class TestOrthonormalHelpers:
 
 def test_tolerances_defaults():
     t = Tolerances()
-    assert (t.herm, t.psd, t.closure) == (1e-9, 1e-9, 1e-9)
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank", "zero"]
+    assert (HERM_TOL, PSD_TOL, CLOSURE_TOL, SOLVE_RESIDUAL_TOL) == (1e-9, 1e-9, 1e-9, 1e-8)
+    assert SPECTRUM_SLACK == 1e-10
     assert (t.rank, t.zero) == (1e-8, 1e-8)
     with pytest.raises(ValueError):
         Tolerances(rank=-1.0)

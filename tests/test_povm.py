@@ -216,15 +216,15 @@ def _per_element_validate(matrices, tol=DEFAULT_TOL):
     eig = [np.linalg.eigh(h) for h in herm]
     for i, (m, h, (w, _)) in enumerate(zip(mats, herm, eig)):
         asym = np.linalg.norm(m - m.conj().T)
-        if asym > tol.herm * max(1.0, np.linalg.norm(m)):
+        if asym > 1e-9 * max(1.0, np.linalg.norm(m)):
             raise NonHermitianInput(f"element {i + 1}: asymmetry {asym:.3e} exceeds tolerance")
-        if w[0] < -tol.psd * max(1.0, w[-1]):
+        if w[0] < -1e-9 * max(1.0, w[-1]):
             raise NotPsd(f"element {i + 1}: minimum eigenvalue {w[0]:.3e}", index=i,
                          min_eigenvalue=float(w[0]))
         if np.linalg.norm(h) <= tol.zero:
             raise ZeroElement(f"element {i + 1} is numerically zero", index=i)
     residual = float(np.linalg.norm(sum(herm) - np.eye(d)))
-    if residual > tol.closure:
+    if residual > 1e-9:
         raise ClosureViolation(f"sum of elements deviates from identity by {residual:.3e}",
                                residual=residual)
     out = []

@@ -394,7 +394,7 @@ class TestBuildWitnessDispatch:
             w = build_witness(p, verdict)
             # P_i = E(Q_i) must sit inside Q_i's spectrum window
             for qe in w.q.elements:
-                assert spectrum_width_check(w.channel, qe.matrix, 1e-10).ok
+                assert spectrum_width_check(w.channel, qe.matrix).ok
             built += 1
 
 
