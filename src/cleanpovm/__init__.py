@@ -11,20 +11,11 @@ The names below are the documented entry points and the types a caller
 must name; everything else is reached through its submodule.
 """
 
-from .channel import (
-    KrausChannel,
-    apply,
-    apply_to_povm,
-    f_bound,
-    invert_positive_map,
-    min_eig_lower_bound,
-    spectrum_width_check,
-)
+from .channel import KrausChannel, apply
 from .cleanness import (
     CleannessVerdict,
     VerdictReason,
     decide_clean,
-    is_projective_frame,
     separating_pair,
     totally_determined_nullspace,
 )
@@ -62,19 +53,13 @@ __all__ = [
     "Witness",
     "WitnessReport",
     "apply",
-    "apply_to_povm",
     "build_witness",
     "classify",
     "decide_clean",
-    "f_bound",
-    "invert_positive_map",
-    "is_projective_frame",
-    "min_eig_lower_bound",
     "random_povm",
     "random_split_povm",
     "rank_one_supports",
     "separating_pair",
-    "spectrum_width_check",
     "totally_determined_nullspace",
     "validate",
     "verify_witness",

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotQuasiQubit, SingleBlock, WrongCount, ZeroElement
+from .errors import NotQuasiQubit, SingleBlock, ZeroElement
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -303,22 +303,3 @@ def oracle_verdict(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> OracleVerdict:
     nullity = totally_determined_nullspace(supports, povm.dim, tol)
     rank_one = all(e.rank == 1 for e in povm.elements)
     return OracleVerdict(rank_one or nullity == 1, nullity)
-
-
-def is_projective_frame(vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the d+1 vectors are in general position (every d of them a basis).
-
-    Read off :func:`~cleanpovm.linalg.support_frame`, the package's one
-    dependence rule: the first d vectors are its basis and the span of the
-    last one needs all d of them.
-    """
-    kets = [as_ket(v) for v in vectors]
-    if not kets:
-        raise WrongCount("no vectors supplied")
-    d = kets[0].shape[0]
-    if len(kets) != d + 1:
-        raise WrongCount(f"need exactly {d + 1} vectors for dimension {d}, got {len(kets)}")
-    if any(k.shape[0] != d for k in kets):
-        raise WrongCount("vectors have mixed dimensions")
-    frame = support_frame(kets, tol)
-    return frame.selected == tuple(range(d)) and len(frame.spans[d]) == d

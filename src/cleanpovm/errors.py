@@ -42,24 +42,12 @@ class ClosureViolation(CleanPovmError):
         self.residual = residual
 
 
-class SingularSuperop(CleanPovmError):
-    """Superoperator linear system is singular or numerically unusable."""
-
-
 class NotQuasiQubit(CleanPovmError):
     """POVM has an element whose rank is neither 1 nor full."""
 
 
 class SingleBlock(CleanPovmError):
     """Partition has a single block; no separating pair exists."""
-
-
-class WrongCount(CleanPovmError):
-    """Projective-frame test needs exactly dim + 1 vectors."""
-
-
-class BoundUnavailable(CleanPovmError):
-    """Near-identity bound does not apply (f(eps) >= 1)."""
 
 
 class InfeasibleRequest(CleanPovmError):

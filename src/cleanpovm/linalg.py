@@ -3,8 +3,6 @@
 Conventions fixed here and used everywhere else in the package:
 
 * matrices are numpy ``complex128`` arrays;
-* operator vectorization is **row-major**: ``vec(A)[i*d + j] = A[i, j]``,
-  so ``vec(X @ A @ Y) = kron(X, Y.T) @ vec(A)``;
 * support geometry has one dependence rule, applied by :func:`support_frame`:
   a vector lies in the span of a set iff its residual against that span is
   at most ``tol.rank`` times its own norm. It decides every subspace basis
@@ -23,18 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidMatrix,
-    NonHermitianInput,
-    NotPsd,
-    SingularSuperop,
-)
+from .errors import DimensionMismatch, InvalidMatrix, NonHermitianInput, NotPsd
 
 
-#: The fixed gates of :class:`Tolerances`, and the residual bound of :func:`superop_solve`.
+#: The fixed gates of :class:`Tolerances`.
 HERM_TOL = PSD_TOL = CLOSURE_TOL = 1e-9
-SOLVE_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -201,54 +192,6 @@ def psd_sqrt(matrix) -> np.ndarray:
         )
     w = np.clip(w, 0.0, None)
     return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
-
-
-def vec(matrix) -> np.ndarray:
-    """Row-major flattening of an operator."""
-    return np.asarray(matrix, dtype=complex).reshape(-1)
-
-
-def superop_matrix(kraus) -> np.ndarray:
-    """d^2 x d^2 matrix of ``A -> sum_a K_a^dagger A K_a`` in the row-major vec convention."""
-    ops = [as_operator(k) for k in kraus]
-    if not ops:
-        raise DimensionMismatch("empty Kraus list")
-    d = ops[0].shape[0]
-    if any(k.shape != (d, d) for k in ops):
-        raise DimensionMismatch("Kraus operators have mixed dimensions")
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in ops:
-        s += np.kron(k.conj().T, k.T)
-    return s
-
-
-def superop_solve(superop, target) -> np.ndarray:
-    """Solve ``E(A) = target`` for A given the d^2 x d^2 superoperator matrix of E.
-
-    ``target`` is one d x d matrix or an ``(m, d, d)`` stack, solved with a
-    single factorization. Each solution must be finite and reproduce its
-    target to ``SOLVE_RESIDUAL_TOL`` relative to ``max(1, ||target||)``, else
-    :class:`SingularSuperop` is raised. The solutions are re-Hermitized; for
-    an invertible positivity-preserving map this is exact because such maps
-    send Hermitian to Hermitian.
-    """
-    s = np.asarray(superop, dtype=complex)
-    t = np.asarray(target, dtype=complex)
-    d = t.shape[-1] if t.ndim in (2, 3) else 0
-    if d < 1 or t.shape[-2] != d or s.shape != (d * d, d * d):
-        raise DimensionMismatch(f"superoperator shape {s.shape} does not match targets {t.shape}")
-    rhs = np.ascontiguousarray(t.reshape(-1, d * d).T)  # one vec(target) per column
-    try:
-        x = np.linalg.solve(s, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSuperop(f"linear solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSuperop("linear solve produced non-finite values")
-    residual = np.linalg.norm(s @ x - rhs, axis=0)
-    worst = float(np.max(residual / np.maximum(1.0, np.linalg.norm(rhs, axis=0))))
-    if worst > SOLVE_RESIDUAL_TOL:
-        raise SingularSuperop(f"round-trip residual {worst:.3e} exceeds {SOLVE_RESIDUAL_TOL:.1e}")
-    return hermitian_part(x.T.reshape(t.shape))
 
 
 def orthonormal_complement(q: np.ndarray) -> np.ndarray:

@@ -50,14 +50,6 @@ def _fix_phases(kets: np.ndarray) -> np.ndarray:
     return u * phases.conj()[:, None]
 
 
-def fix_support_phase(ket: np.ndarray) -> np.ndarray:
-    """Normalize and rotate the global phase so the largest amplitude is real positive."""
-    v = np.asarray(ket, dtype=complex).reshape(1, -1)
-    if np.linalg.norm(v) == 0:
-        raise ZeroElement("cannot phase-fix the zero vector")
-    return _fix_phases(v)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class PovmElement:
     """One POVM element with cached eigendata.

@@ -12,19 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cleanpovm.channel import (
-    KrausChannel,
-    apply,
-    f_bound,
-    invert_positive_map,
-    spectrum_width_check,
-    superop,
-)
+from cleanpovm.channel import KrausChannel, apply
 from cleanpovm.cleanness import OracleVerdict, decide_clean, oracle_verdict
 from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import haar_unitary, random_psd
 from cleanpovm.povm import rank_one_supports, validate
 from cleanpovm.witness import build_witness, case_b_kraus, case_b_widen_map, verify_witness
+from reference import f_bound, invert_positive_map, spectrum_width_check, superop_matrix
 from samplers import near_identity_channel, random_channel, random_hermitian
 
 CORPUS_DIMS = (2, 3, 4, 5)
@@ -154,7 +148,7 @@ def test_criterion_5_near_identity_bound_and_inversion():
             eps = float(rng.uniform(1e-4, 0.05))
             channel = near_identity_channel(d, eps, rng)
             bound = f_bound(eps, d)
-            deviation = np.linalg.norm(superop(channel) - eye, 2)
+            deviation = np.linalg.norm(superop_matrix(channel.kraus) - eye, 2)
             if deviation > bound.f_eps + 1e-10:
                 violations.append((d, index, "norm bound"))
             if bound.f_eps < 1.0:

@@ -6,18 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cleanpovm.channel import SPECTRUM_SLACK
-from cleanpovm.errors import (
-    NonHermitianInput,
-    NotPsd,
-    SingularSuperop,
-)
+from cleanpovm.errors import NonHermitianInput, NotPsd
 from cleanpovm.linalg import (
     CLOSURE_TOL,
     DEFAULT_TOL,
     HERM_TOL,
     PSD_TOL,
-    SOLVE_RESIDUAL_TOL,
     Tolerances,
     eig_hermitian,
     haar_unitary,
@@ -26,10 +20,14 @@ from cleanpovm.linalg import (
     orthonormal_complement,
     psd_sqrt,
     random_psd,
+    support_frame,
+)
+from reference import (
+    SOLVE_RESIDUAL_TOL,
+    SPECTRUM_SLACK,
+    SingularSuperop,
     superop_matrix,
     superop_solve,
-    support_frame,
-    vec,
 )
 from samplers import near_identity_channel, random_hermitian
 
@@ -218,7 +216,7 @@ class TestSuperop:
                 unit = np.zeros((2, 2), dtype=complex)
                 unit[k, l] = 1.0
                 direct = sum(r.conj().T @ unit @ r for r in kraus)
-                assert np.allclose(s @ vec(unit), vec(direct), atol=1e-15)
+                assert np.allclose(s @ unit.reshape(-1), direct.reshape(-1), atol=1e-15)
 
     def test_unitary_channel_gives_unitary_superop(self):
         u = haar_unitary(3, np.random.default_rng(1))
@@ -226,9 +224,12 @@ class TestSuperop:
         assert np.linalg.norm(s.conj().T @ s - np.eye(9)) <= 1e-12
 
     def test_vec_convention_row_major(self):
+        # vec(A) = A.reshape(-1) lists A row by row, so vec(X A Y) = kron(X, Y.T) vec(A)
         a = np.arange(4, dtype=complex).reshape(2, 2)
-        assert np.array_equal(vec(a), np.array([0, 1, 2, 3], dtype=complex))
-        assert np.array_equal(vec(a).reshape(2, 2), a)
+        assert np.array_equal(a.reshape(-1), np.array([0, 1, 2, 3], dtype=complex))
+        rng = np.random.default_rng(2)
+        x, y, a = (haar_unitary(3, rng) for _ in range(3))
+        assert np.allclose(np.kron(x, y.T) @ a.reshape(-1), (x @ a @ y).reshape(-1), atol=1e-14)
 
 
 class TestSuperopSolve:
@@ -316,8 +317,7 @@ class TestOrthonormalHelpers:
 def test_tolerances_defaults():
     t = Tolerances()
     assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank", "zero"]
-    assert (HERM_TOL, PSD_TOL, CLOSURE_TOL, SOLVE_RESIDUAL_TOL) == (1e-9, 1e-9, 1e-9, 1e-8)
-    assert SPECTRUM_SLACK == 1e-10
+    assert (HERM_TOL, PSD_TOL, CLOSURE_TOL) == (1e-9, 1e-9, 1e-9)
     assert (t.rank, t.zero) == (1e-8, 1e-8)
     with pytest.raises(ValueError):
         Tolerances(rank=-1.0)
@@ -325,6 +325,11 @@ def test_tolerances_defaults():
         with pytest.raises(ValueError):
             Tolerances(zero=bad)
     assert DEFAULT_TOL == Tolerances()
+
+
+def test_reference_bounds():
+    """The residual bound of the reference superoperator solve and the spectrum check's slack."""
+    assert (SOLVE_RESIDUAL_TOL, SPECTRUM_SLACK) == (1e-8, 1e-10)
 
 
 def test_hermitian_part_idempotent():

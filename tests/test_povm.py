@@ -18,7 +18,6 @@ from cleanpovm.povm import (
     PovmClass,
     _fro_norms,
     classify,
-    fix_support_phase,
     povm_unchecked,
     random_povm,
     random_split_povm,
@@ -33,6 +32,13 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 
 def diag(*entries):
     return np.diag(np.array(entries, dtype=float)).astype(complex)
+
+
+def phase_fixed(ket):
+    """The support convention, one ket at a time: unit norm, largest amplitude real positive."""
+    u = ket / np.linalg.norm(ket)
+    z = u[np.argmax(np.abs(u))]
+    return u * (z / abs(z)).conjugate()
 
 
 class TestValidate:
@@ -159,7 +165,7 @@ class TestStackedValidate:
                 assert e.rank == rank
                 if rank == 1:
                     assert e.weight == float(w[-1])
-                    assert np.array_equal(e.support, fix_support_phase(v[:, -1]))
+                    assert np.array_equal(e.support, phase_fixed(v[:, -1]))
                 else:
                     assert e.weight is None and e.support is None
 
@@ -376,7 +382,9 @@ class TestRankOneSupports:
         assert np.allclose(s.ket, [0.7071067811865476, 0.7071067811865476], atol=1e-12)
 
     def test_phase_convention(self):
-        ket = fix_support_phase(np.array([0.6j, -0.8j]))
+        k = np.array([0.6j, -0.8j])
+        p = validate([0.5 * np.outer(k, k.conj()), np.eye(2) - 0.5 * np.outer(k, k.conj())])
+        (ket,) = [s.ket for s in rank_one_supports(p) if s.index == 0]
         biggest = ket[np.argmax(np.abs(ket))]
         assert biggest.imag == pytest.approx(0.0, abs=1e-15)
         assert biggest.real > 0
