@@ -42,6 +42,10 @@ class ClosureViolation(CleanPovmError):
         self.residual = residual
 
 
+class UnvalidatedPovm(CleanPovmError):
+    """Supports or eigenvectors read off a certificate POVM, which keeps eigenvalues only."""
+
+
 class NotQuasiQubit(CleanPovmError):
     """POVM has an element whose rank is neither 1 nor full."""
 

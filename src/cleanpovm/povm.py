@@ -1,9 +1,13 @@
 """POVM representation, validation, rank taxonomy, and random generation.
 
 A POVM is a finite list of Hermitian PSD operators on C^d (d >= 2) summing
-to the identity. Elements whose rank is 1 carry a cached weight/support
+to the identity. :func:`validate` decomposes every element fully, in one
+stacked ``eigh``: elements whose rank is 1 carry a cached weight/support
 decomposition ``P = weight * |support><support|`` with the support phase
-fixed so its largest-magnitude amplitude is real positive.
+fixed so its largest-magnitude amplitude is real positive. A certificate
+built by :func:`povm_unchecked` (a witness's Q, tried or loaded) keeps
+eigenvalues only, from one stacked ``eigvalsh``: ranks and weights, but no
+eigenvectors or supports, which :func:`rank_one_supports` refuses to read.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .errors import (
     InfeasibleRequest,
     NonHermitianInput,
     NotPsd,
+    UnvalidatedPovm,
     ZeroElement,
 )
 from .linalg import (
@@ -54,13 +59,15 @@ def _fix_phases(kets: np.ndarray) -> np.ndarray:
 class PovmElement:
     """One POVM element with cached eigendata.
 
-    ``weight`` and ``support`` are present iff ``rank == 1``, in which case
-    ``matrix ~= weight * outer(support, support.conj())``.
+    ``weight`` is present iff ``rank == 1``. ``eigenvectors`` and ``support``
+    exist on validated POVMs only (both ``None`` on a certificate from
+    :func:`povm_unchecked`); there ``support`` is present iff ``rank == 1``,
+    in which case ``matrix ~= weight * outer(support, support.conj())``.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: Optional[np.ndarray]
     rank: int
     weight: Optional[float]
     support: Optional[np.ndarray]
@@ -156,22 +163,21 @@ def _fro_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def _eigh(h: np.ndarray, tol: Tolerances):
-    """Eigenvalues, eigenvectors and ranks of a Hermitian stack, in one ``eigh`` call."""
-    w, v = np.linalg.eigh(h)
-    return w, v, np.sum(w > tol.rank * w[:, -1:], axis=1)
-
-
-def _povm(stack: np.ndarray, w, v, ranks, labels) -> Povm:
-    """A Povm of read-only elements over the stacked matrices and their eigendata."""
-    for a in (stack, w, v):
+def _povm(stack: np.ndarray, w, v, labels, tol: Tolerances) -> Povm:
+    """A Povm of read-only elements over the stacked matrices and their eigendata;
+    ``v`` is ``None`` for a certificate, whose elements keep eigenvalues only.
+    A witness trial builds its Q here, with the eigenvalues it already took."""
+    for a in (stack, w) if v is None else (stack, w, v):
         a.setflags(write=False)
-    ranks = ranks.tolist()
+    ranks = np.sum(w > tol.rank * w[:, -1:], axis=1).tolist()
     rank_one = [i for i, rank in enumerate(ranks) if rank == 1]
-    supports = dict(zip(rank_one, _fix_phases(v[rank_one, :, -1]))) if rank_one else {}
+    supports = {}
+    if rank_one and v is not None:
+        supports = dict(zip(rank_one, _fix_phases(v[rank_one, :, -1])))
     weights = w[:, -1].tolist()
+    vectors = [None] * len(ranks) if v is None else v
     elements = tuple(
-        PovmElement(stack[i], w[i], v[i], rank, weights[i] if rank == 1 else None, supports.get(i))
+        PovmElement(stack[i], w[i], vectors[i], rank, weights[i] if rank == 1 else None, supports.get(i))
         for i, rank in enumerate(ranks)
     )
     if labels is not None:
@@ -238,22 +244,25 @@ def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> 
     """
     a = _stack(matrices)
     h = hermitian_part(a)
-    w, v, ranks = _eigh(h, tol)
+    w, v = np.linalg.eigh(h)
     error, _ = _axiom_violation(a, h, w, tol)
     if error is not None:
         raise error
-    return _povm(h, w, v, ranks, labels)
+    return _povm(h, w, v, labels, tol)
 
 
 def povm_unchecked(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
-    """A :class:`Povm` with cached eigendata but without the axiom checks.
+    """A certificate :class:`Povm`: eigenvalues only, and no axiom checks.
 
-    For certificates read from files: the matrices are kept exactly as
-    given, so that :func:`cleanpovm.witness.verify_witness` decides whether
-    they form a POVM. Only shapes and labels are checked.
+    For a witness's Q, built by a construction or read from a file: the
+    matrices are kept exactly as given, so that
+    :func:`cleanpovm.witness.verify_witness` decides whether they form a
+    POVM. Only shapes and labels are checked. One stacked ``eigvalsh`` of the
+    Hermitian part gives the eigenvalues, ranks and weights; no eigenvectors
+    or supports are built.
     """
     a = _stack(matrices)
-    return _povm(a, *_eigh(hermitian_part(a), tol), labels)
+    return _povm(a, np.linalg.eigvalsh(hermitian_part(a)), None, labels, tol)
 
 
 def classify(povm: Povm) -> RankProfile:
@@ -272,7 +281,16 @@ def classify(povm: Povm) -> RankProfile:
 
 
 def rank_one_supports(povm: Povm) -> list[RankOneSupport]:
-    """Weight/support data of every rank-one element, in element order."""
+    """Weight/support data of every rank-one element, in element order.
+
+    Raises :class:`UnvalidatedPovm` on a certificate from
+    :func:`povm_unchecked`, which keeps no eigenvectors or supports.
+    """
+    if any(e.eigenvectors is None for e in povm.elements):
+        raise UnvalidatedPovm(
+            "the POVM keeps eigenvalues only (built without the axiom checks); "
+            "validate it to read its supports"
+        )
     out = []
     for i, e in enumerate(povm.elements):
         if e.rank == 1:

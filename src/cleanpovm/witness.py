@@ -27,16 +27,27 @@ rule, and every element's off-diagonal block. Case d reads W's basis, and
 tests V + W for supplementarity, under that rule too; each of its trials
 widens the W-support whose eigenvalue gains most at that eps. The cases
 also share one search over their deformation parameter and one judge for
-its trials. A trial builds one candidate, Q through
-:func:`~cleanpovm.povm.povm_unchecked` and E through
-:meth:`KrausChannel.build`, and is judged by :func:`verify_witness`'s report
-on it plus the construction's own positivity headroom. The search walks a
-fixed schedule and stops at the first failure that asks to move the other
-way: a missed widening margin asks for a larger eps, every other failure for
-a smaller one. Cases b and d run eps down 0.25 * 2^-k and stop once the
-margin is missed, since a smaller eps only widens less; case d climbs a few
-fixed values instead when eps = 0.25 already misses the margin. The accepted
-trial's witness is returned as it is: its report was the verification.
+its trials. A trial builds one candidate, Q as a certificate
+:class:`~cleanpovm.povm.Povm` (matrices and one stacked ``eigvalsh``, no
+eigenvectors) and E through :meth:`KrausChannel.build`, and is judged by
+:func:`verify_witness`'s report on it plus the construction's own positivity
+headroom. The search walks a fixed schedule and stops at the first failure
+that asks to move the other way: a missed widening margin asks for a larger
+eps, every other failure for a smaller one. Cases b and d run eps down
+0.25 * 2^-k and stop once the margin is missed, since a smaller eps only
+widens less; case d climbs a few fixed values instead when eps = 0.25
+already misses the margin. The accepted trial's witness is returned as it
+is: its report was the verification.
+
+A trial of case b or d takes Q's eigenvalues first. When they already fix
+the judge's answer as "rejected, try a smaller eps" (case b: the headroom
+fails, which the judge checks first; case d: the widening margin holds and
+positivity fails, so every check the judge runs before positivity asks for
+a smaller eps too) and the walk goes on downward after this eps, the trial
+stops there, before its channel, its Povm and its report. The last trial a
+walk judges is always judged in full (the last schedule value, every
+climbing rung, every case-c step, case a), so a failed search names the same
+problem and carries the same report.
 
 Certificates are verified by :func:`verify_witness` using only POVM/channel
 primitives, with frozen contract constants: channel residual 1e-8, closure
@@ -82,7 +93,14 @@ from .linalg import (
     psd_sqrt,
     support_frame,
 )
-from .povm import Povm, RankOneSupport, _axiom_violation, povm_unchecked, rank_one_supports
+from .povm import (
+    Povm,
+    RankOneSupport,
+    _axiom_violation,
+    _povm,
+    povm_unchecked,
+    rank_one_supports,
+)
 
 #: Frozen certificate contract: third parties check against these, no negotiation.
 MAP_RESIDUAL_TOL = 1e-8
@@ -98,6 +116,10 @@ _EPS_HALVINGS = 40
 _EPS_SCHEDULE = tuple(_EPS_START * 0.5**k for k in range(_EPS_HALVINGS))
 #: Case d climbs these instead when eps = 0.25 already leaves too little margin.
 _EPS_RUNGS = (0.4, 0.55, 0.7, 0.85, 0.95)
+#: The eps values after which a rejection asking for a smaller eps moves on down
+#: the schedule: only a case-b or case-d trial at one of these may stop on Q's
+#: eigenvalues. Every other trial may be the last its walk judges.
+_EPS_GOES_ON = frozenset(_EPS_SCHEDULE[:-1])
 
 #: Eigenvalue floor of a constructed Q element, relative to max(1, lambda_max).
 _PSD_FLOOR = 1e-12
@@ -288,7 +310,8 @@ def _split(p: Povm, v_kets, tol: Tolerances) -> _Split:
 
 class _Trial(NamedTuple):
     """One eps trial: the accepted witness, or its first failed check, which way
-    that check asks eps to move, and the report (``None`` if a pre-check failed)."""
+    that check asks eps to move, and the report (``None`` if a pre-check failed
+    or the trial stopped on Q's eigenvalues)."""
 
     witness: Witness | None
     problem: str
@@ -484,15 +507,19 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
         q_adapted = {i: case_b_widen_map(p_adapted[i], a, eps) for i in others}
         q_adapted[absorber] = np.eye(d, dtype=complex) - sum(q_adapted[i] for i in others)
         adapted = np.stack([q_adapted[i] for i in range(p.n_outcomes)])
-        q = povm_unchecked(hermitian_part(u @ adapted @ u.conj().T), tol, p.labels)
-        w_abs = q.eigenvalues[absorber]
+        q_mats = hermitian_part(u @ adapted @ u.conj().T)
+        eigs = np.linalg.eigvalsh(q_mats)
+        w_abs = eigs[absorber]
         if w_abs[0] < PSD_TOL * max(w_abs[-1], 0.0):  # strictly inside the PSD cone
             headroom = "absorbing element loses positivity at eps={eps}"
-        elif not _psd_within_floor(q.eigenvalues[others]):
+        elif not _psd_within_floor(eigs[others]):
             headroom = "a widened element loses positivity at eps={eps}"
         else:
             headroom = ""
+        if headroom and eps in _EPS_GOES_ON:  # the judge checks the headroom first
+            return _Trial(None, headroom.format(eps=eps), False)
         channel = KrausChannel.build([u @ mk @ u.conj().T for mk in case_b_kraus(a, eps)])
+        q = _povm(q_mats, eigs, None, p.labels, tol)
         witness = Witness(q, channel, designated.index, "b", eps, MAX_EIG_INCREASE)
         return _judge(p, witness, tol, headroom)
 
@@ -661,7 +688,9 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol):
     widens the support in ``widenable`` whose maximum eigenvalue gains most.
     Its checks run in this order: closure, the map residual, the widening
     margin, positivity; so when both the margin and positivity fail, the
-    trial asks for a larger eps.
+    trial asks for a larger eps. When Q's eigenvalues meet the margin but
+    fail positivity, every check asks for a smaller eps, so a trial at an
+    eps in :data:`_EPS_GOES_ON` stops there, before building its channel.
     """
     d = p.dim
     k, m = a.shape
@@ -670,6 +699,25 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol):
     if coeff * aa_top >= 1.0 - 1e-9:
         return _Trial(None, f"B(eps) undefined at eps={eps}", False)
     b_mat = psd_sqrt(np.eye(k) - coeff * (a @ a.conj().T))
+
+    # in u, E(X) = sum m X m^dagger is block upper-triangular: solve it block by block
+    b_inv = np.linalg.inv(b_mat)
+    alpha = -t / (1.0 - t) - t
+    beta = t / (1.0 - t) ** 2 + t + t**2 / (1.0 - t)
+    x = np.empty_like(y)
+    x[:, k:, k:] = y[:, k:, k:]
+    x[:, :k, k:] = b_inv @ y[:, :k, k:] / (1.0 - t)
+    x[:, k:, :k] = x[:, :k, k:].conj().swapaxes(-1, -2)
+    cross = a @ x[:, k:, :k] @ b_mat  # A X21 B; its adjoint is B X12 A^dagger
+    rhs = y[:, :k, :k] - alpha * (cross + cross.conj().swapaxes(-1, -2))
+    x[:, :k, :k] = b_inv @ (rhs - beta * (a @ x[:, k:, k:] @ a.conj().T)) @ b_inv
+    q_mats = hermitian_part(u @ x @ u.conj().T)
+    eigs = np.linalg.eigvalsh(q_mats)
+    gains = eigs[widenable, -1] - p.eigenvalues[widenable, -1]
+    j = _first_best(gains)
+    headroom = "" if _psd_within_floor(eigs) else "an element loses positivity at eps={eps}"
+    if headroom and eps in _EPS_GOES_ON and gains[j] >= WIDENING_MARGIN:
+        return _Trial(None, headroom.format(eps=eps), False)
 
     r_v = np.zeros((d, d), dtype=complex)
     r_v[:k, :k] = b_mat
@@ -683,21 +731,6 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol):
         channel = KrausChannel.build(kraus)
     except ClosureViolation as exc:
         return _Trial(None, f"closure failed at eps={eps}: {exc}", False)
-
-    # in u, E(X) = sum m X m^dagger is block upper-triangular: solve it block by block
-    b_inv = np.linalg.inv(b_mat)
-    alpha = -t / (1.0 - t) - t
-    beta = t / (1.0 - t) ** 2 + t + t**2 / (1.0 - t)
-    x = np.empty_like(y)
-    x[:, k:, k:] = y[:, k:, k:]
-    x[:, :k, k:] = b_inv @ y[:, :k, k:] / (1.0 - t)
-    x[:, k:, :k] = x[:, :k, k:].conj().swapaxes(-1, -2)
-    cross = a @ x[:, k:, :k] @ b_mat  # A X21 B; its adjoint is B X12 A^dagger
-    rhs = y[:, :k, :k] - alpha * (cross + cross.conj().swapaxes(-1, -2))
-    x[:, :k, :k] = b_inv @ (rhs - beta * (a @ x[:, k:, k:] @ a.conj().T)) @ b_inv
-    q = povm_unchecked(hermitian_part(u @ x @ u.conj().T), tol, p.labels)
-    eigs = q.eigenvalues
-    best = widenable[_first_best(eigs[widenable, -1] - p.eigenvalues[widenable, -1])]
-    headroom = "" if _psd_within_floor(eigs) else "an element loses positivity at eps={eps}"
-    witness = Witness(q, channel, best, "d", eps, MAX_EIG_INCREASE)
+    q = _povm(q_mats, eigs, None, p.labels, tol)
+    witness = Witness(q, channel, widenable[j], "d", eps, MAX_EIG_INCREASE)
     return _judge(p, witness, tol, headroom, margin_first=True)

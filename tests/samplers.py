@@ -1,9 +1,10 @@
-"""Random channels and Hermitian matrices for the test suite."""
+"""Random channels, Hermitian matrices and near-boundary POVMs for the test suite."""
 
 import numpy as np
 
 from cleanpovm.channel import KrausChannel
 from cleanpovm.linalg import haar_unitary, hermitian_part, psd_sqrt
+from cleanpovm.povm import random_split_povm, validate
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -41,3 +42,18 @@ def near_identity_channel(dim: int, epsilon: float, rng: np.random.Generator) ->
     deficit = hermitian_part(np.eye(dim) - k1.conj().T @ k1)
     k2 = haar_unitary(dim, rng) @ psd_sqrt(deficit)
     return KrausChannel.build([k1, k2])
+
+
+def near_boundary_povm(i: int, delta: float):
+    """A planted qutrit split whose rank-one supports are moved by about delta."""
+    p = random_split_povm(3, 1, 2, 2, [3, 3, i], oblique=bool(i % 2))
+    rng = np.random.default_rng([9, i])
+    mats = [e.matrix for e in p.elements]
+    for j, e in enumerate(p.elements):
+        if e.rank == 1:
+            k = e.support + delta * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            k = k / np.linalg.norm(k)
+            mats[j] = e.weight * np.outer(k, k.conj())
+    first_full = next(j for j, e in enumerate(p.elements) if e.rank == 3)
+    mats[first_full] = np.eye(3) - sum(m for j, m in enumerate(mats) if j != first_full)
+    return validate(mats)

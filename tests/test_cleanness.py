@@ -20,6 +20,7 @@ from cleanpovm.linalg import DEFAULT_TOL, Tolerances, haar_unitary, in_span, sup
 from cleanpovm.povm import random_povm, random_split_povm, rank_one_supports, validate
 from cleanpovm import cleanness, witness
 from cleanpovm.witness import build_witness
+from samplers import near_boundary_povm
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -448,20 +449,6 @@ def test_strict_with_generic_frame_is_clean():
         d = int(rng.integers(2, 5))
         p = random_povm("strict-quasi-qubit", d, d + 3, rng, n_rank_one=d + 1)
         assert decide_clean(p).clean
-
-
-def near_boundary_povm(i: int, delta: float):
-    """A planted qutrit split whose rank-one supports are moved by about delta."""
-    p = random_split_povm(3, 1, 2, 2, [3, 3, i], oblique=bool(i % 2))
-    rng = np.random.default_rng([9, i])
-    mats = [e.matrix for e in p.elements]
-    for j, e in enumerate(p.elements):
-        if e.rank == 1:
-            k = e.support + delta * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            mats[j] = e.weight * projector(k / np.linalg.norm(k))
-    first_full = next(j for j, e in enumerate(p.elements) if e.rank == 3)
-    mats[first_full] = np.eye(3) - sum(m for j, m in enumerate(mats) if j != first_full)
-    return validate(mats)
 
 
 def test_near_boundary_supports():

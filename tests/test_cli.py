@@ -337,11 +337,13 @@ class TestVerifyReadsTheTargetOnce:
         self, qb_file, tmp_path, capsys, monkeypatch, relabel, calls
     ):
         count = []
-        original = np.linalg.eigh
 
-        def spy(*args, **kwargs):
-            count.append(1)
-            return original(*args, **kwargs)
+        def counted(original):
+            def spy(*args, **kwargs):
+                count.append(1)
+                return original(*args, **kwargs)
+
+            return spy
 
         bundle = tmp_path / "w.json"
         assert main(["check", "--input", str(qb_file), "--witness-out", str(bundle)]) == 3
@@ -349,9 +351,11 @@ class TestVerifyReadsTheTargetOnce:
             obj = load_json(bundle)
             obj["povm_p"]["labels"] = ["a", "b", "c"]
             bundle.write_text(json.dumps(obj))
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         assert main(["verify", "--povm", str(qb_file), "--witness", str(bundle)]) == 0
-        # the --povm file and Q; a povm_p that differs from --povm is validated as well
+        # the --povm file (eigh) and Q (eigvalsh); a povm_p that differs from
+        # --povm is validated as well (eigh)
         assert len(count) == calls
 
 

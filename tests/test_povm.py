@@ -1,16 +1,21 @@
 """Tests for POVM validation, classification, and random generation."""
 
+import json
+
 import numpy as np
 import pytest
 
+from cleanpovm.cleanness import decide_clean, oracle_verdict
 from cleanpovm.errors import (
     ClosureViolation,
     DimensionMismatch,
     InfeasibleRequest,
     NonHermitianInput,
     NotPsd,
+    UnvalidatedPovm,
     ZeroElement,
 )
+from cleanpovm.fileio import dumps_canonical, povm_from_json, povm_to_json
 from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import DEFAULT_TOL, as_operator, haar_unitary, hermitian_part
 from cleanpovm.povm import (
@@ -388,6 +393,17 @@ class TestRankOneSupports:
         biggest = ket[np.argmax(np.abs(ket))]
         assert biggest.imag == pytest.approx(0.0, abs=1e-15)
         assert biggest.real > 0
+
+    @pytest.mark.parametrize("kind", ["strict-quasi-qubit", "full-rank"])
+    def test_certificate_has_no_supports(self, kind):
+        # read without the axiom checks, as cleanpovm verify reads Q: eigenvalues only
+        p = random_povm(kind, 3, 4, 5)
+        q = povm_from_json(json.loads(dumps_canonical(povm_to_json(p))), checked=False)
+        assert [e.rank for e in q.elements] == [e.rank for e in p.elements]
+        assert all(e.eigenvectors is None and e.support is None for e in q.elements)
+        for read in (rank_one_supports, decide_clean, oracle_verdict):
+            with pytest.raises(UnvalidatedPovm, match="keeps eigenvalues only"):
+                read(q)
 
 
 class TestRandomPovm:

@@ -1,6 +1,7 @@
 """Tests for the four witness constructions and the independent verifier."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -21,7 +22,7 @@ from cleanpovm.errors import (
 from cleanpovm.fileio import dumps_canonical, witness_bundle_from_json, witness_bundle_to_json
 from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import Tolerances, haar_unitary, hermitian_part, random_psd
-from cleanpovm.povm import random_povm, random_split_povm, validate
+from cleanpovm.povm import povm_unchecked, random_povm, random_split_povm, validate
 from cleanpovm.witness import (
     Witness,
     WitnessReport,
@@ -35,6 +36,7 @@ from cleanpovm.witness import (
     witness_case_d,
 )
 from reference import invert_positive_map, spectrum_width_check
+from samplers import near_boundary_povm
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -581,10 +583,10 @@ def spy(monkeypatch, owner, name, calls):
 
 
 class TestOneJudgePerTrial:
-    """Each eps trial is judged by one verify_witness report; nothing after."""
+    """Each eps trial is judged by at most one verify_witness report; nothing after."""
 
     @pytest.mark.parametrize("case", "abcd")
-    def test_accepted_witness_costs_one_apply_and_one_eigh(self, monkeypatch, case):
+    def test_accepted_witness_costs_one_apply_and_one_eigvalsh(self, monkeypatch, case):
         p = case_povm(case, 8)
         verdict = decide_clean(p)
         applies, eighs, eigvalshs = [], [], []
@@ -599,21 +601,27 @@ class TestOneJudgePerTrial:
             return sum(a.shape == q.shape and np.array_equal(a, q) for a in arrays)
 
         assert [args[1] is w.q.matrices for args in applies].count(True) == 1
-        assert (on_q(eighs), on_q(eigvalshs)) == (1, 0)
+        # Q is a certificate: one eigvalsh, no eigh
+        assert (on_q(eighs), on_q(eigvalshs)) == (0, 1)
 
     @pytest.mark.parametrize("case", "bcd")
     def test_verified_once_per_trial_and_never_after(self, monkeypatch, case):
-        # at d = 8 cases b and d accept their second trial, case c its first
+        # at d = 8 cases b and d accept their second trial, eps = 0.125, and
+        # their first stops on Q's eigenvalues before any Povm or report; case c
+        # accepts its first
         p = case_povm(case, 8)
         verdict = decide_clean(p)
         built, verified = [], []
-        unchecked = witness.povm_unchecked
-        monkeypatch.setattr(
-            witness, "povm_unchecked", lambda *args: built.append(unchecked(*args)) or built[-1]
-        )
+        for name in ("povm_unchecked", "_povm"):
+            monkeypatch.setattr(
+                witness,
+                name,
+                lambda *args, _make=getattr(witness, name): built.append(_make(*args)) or built[-1],
+            )
         spy(monkeypatch, witness, "verify_witness", verified)
         w = build_witness(p, verdict)
-        assert len(built) == {"b": 2, "c": 1, "d": 2}[case]
+        assert len(built) == 1
+        assert case == "c" or w.epsilon == 0.125
         assert [args[1].q for args in verified] == built
         assert verified[-1][1] is w
         assert verify_witness(p, w).passed
@@ -674,3 +682,95 @@ class TestWidenedIndexTies:
         w = build_witness(p, decide_clean(p))
         assert (w.case_tag, w.widened_index) == ("c", 0)
         assert verify_witness(p, w).passed
+
+
+def _early_stop_corpus():
+    """Fuzz instances and planted splits at d = 4, 8, 12, then the near-boundary probe."""
+    for d in (4, 8, 12):
+        for i in range(120 if d == 4 else 60):
+            yield random_quasi_qubit_instance(d, np.random.default_rng([7, d, i]))[1]
+        for i in range(20):
+            rng = np.random.default_rng([11, d, i])
+            dim_v = int(rng.integers(1, d))
+            yield random_split_povm(d, 1, 1, int(rng.integers(1, d)), rng, block_diagonal=True)
+            yield random_split_povm(d, dim_v, 2, d - dim_v, rng, n_extra_full=1)
+            yield random_split_povm(d, dim_v, 2, d - dim_v + 1, rng, oblique=True)
+    for delta in (1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6):
+        for i in range(150):
+            yield near_boundary_povm(i, delta)
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("psd_fails", [False, True], ids=["as-built", "positivity-always-fails"])
+    def test_a_trial_stops_early_only_where_the_full_judge_asks_for_a_smaller_eps(
+        self, monkeypatch, psd_fails
+    ):
+        """A case-b or case-d trial that stops on Q's eigenvalues is rejected,
+        asking for a smaller eps, by the full judge of the same eps as well;
+        every other trial comes out as it does when judged in full, and no
+        walk ends on an early stop. With positivity failing on every trial
+        (the first 120 instances only), case d meets its margin on some
+        trials and misses it on others, and the walks run down to their last
+        eps."""
+        early = {"b": 0, "d": 0}
+        trials = []  # whether each trial of the current witness stopped early
+
+        def judged_in_full(case, run):
+            got = run()
+            with monkeypatch.context() as m:
+                m.setattr(witness, "_EPS_GOES_ON", frozenset())
+                full = run()
+            same = (got.problem, got.needs_larger, got.report) == (
+                full.problem, full.needs_larger, full.report
+            )
+            if not same:  # it stopped early: no channel, no Povm, no report
+                assert got.witness is None and got.report is None and not got.needs_larger
+                assert full.report is not None  # _judge ran on the full candidate
+                assert full.witness is None and not full.needs_larger
+                early[case] += 1
+            else:
+                assert (got.witness is None) == (full.witness is None)
+            trials.append(not same)
+            return got
+
+        walk, attempt_d = witness._eps_walk, witness._case_d_attempt
+
+        def spy_walk(trial, *args):
+            if args[-1] == "b":  # the case tag; case d is spied through its attempt
+                return walk(lambda x: judged_in_full("b", lambda: trial(x)), *args)
+            return walk(trial, *args)
+
+        monkeypatch.setattr(witness, "_eps_walk", spy_walk)
+        monkeypatch.setattr(
+            witness, "_case_d_attempt", lambda *args: judged_in_full("d", lambda: attempt_d(*args))
+        )
+        corpus = _early_stop_corpus()
+        if psd_fails:
+            monkeypatch.setattr(witness, "_psd_within_floor", lambda eigs: False)
+            corpus = itertools.islice(corpus, 120)
+        failures, built = 0, set()
+        for p in corpus:
+            verdict = decide_clean(p)
+            if verdict.clean:
+                continue
+            trials.clear()
+            try:
+                built.add(build_witness(p, verdict).case_tag)
+            except ConstructionFailed as exc:
+                failures += 1
+                if "B(eps) undefined" not in str(exc) and "closure failed" not in str(exc):
+                    assert "q_valid" in exc.diagnostics, str(exc)
+            assert not trials or not trials[-1], "a walk ended on an early stop"
+        assert early["b"] > 0 and early["d"] > 0
+        if psd_fails:
+            assert built <= {"a"}
+        else:
+            assert built == set("abcd") and failures == 5  # the probe's case-d tolerance ties
+
+    def test_unchecked_eigenvalues_match_per_matrix_eigvalsh(self):
+        rng = np.random.default_rng(9)
+        for d in (2, 3, 4, 5, 8, 12, 16):
+            stack = rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
+            q = povm_unchecked(stack)
+            want = np.array([np.linalg.eigvalsh(hermitian_part(m)) for m in stack])
+            assert q.eigenvalues.tobytes() == want.tobytes()
