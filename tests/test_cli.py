@@ -178,19 +178,30 @@ def test_boolean_matrix_entries_are_an_input_error(tmp_path, capsys):
     )
 
 
+#: The committed check/verify outputs, one POVM per witness case, each written by
+#: the commit before the stacked fuzz path so that the stacking is held to them.
+GOLDEN = (
+    "golden-d3",  # case b: four diagonal elements
+    "golden-d3-case-a",  # scalar elements; fuzz instance [7, 3, 59]
+    "golden-d3-case-c",  # supports do not span; fuzz instance [7, 3, 12]
+    "golden-d3-case-d",  # oblique split, accepted at eps = 0.0625; fuzz instance [7, 3, 139]
+)
+
+
 def test_golden_bytes(tmp_path, monkeypatch, capsys):
-    """check and verify write the committed bundle and reports byte for byte."""
+    """check and verify write the committed bundle and reports byte for byte, for every case."""
     data = Path(__file__).parent / "data"
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "povm.json").write_bytes((data / "golden-d3-povm.json").read_bytes())
-    assert main(["check", "--input", "povm.json", "--oracle", "--witness-out", "bundle.json",
-                 "--json-out", "check-report.json"]) == 3
-    assert main(["verify", "--povm", "povm.json", "--witness", "bundle.json",
-                 "--json-out", "verify-report.json"]) == 0
-    for name in ("bundle", "check-report", "verify-report"):
-        assert (tmp_path / f"{name}.json").read_bytes() == (
-            data / f"golden-d3-{name}.json"
-        ).read_bytes(), name
+    for prefix in GOLDEN:
+        (tmp_path / "povm.json").write_bytes((data / f"{prefix}-povm.json").read_bytes())
+        assert main(["check", "--input", "povm.json", "--oracle", "--witness-out", "bundle.json",
+                     "--json-out", "check-report.json"]) == 3
+        assert main(["verify", "--povm", "povm.json", "--witness", "bundle.json",
+                     "--json-out", "verify-report.json"]) == 0
+        for name in ("bundle", "check-report", "verify-report"):
+            assert (tmp_path / f"{name}.json").read_bytes() == (
+                data / f"{prefix}-{name}.json"
+            ).read_bytes(), (prefix, name)
 
 
 class TestVerify:
