@@ -37,13 +37,16 @@ class KrausChannel:
 
     @classmethod
     def build(cls, kraus) -> "KrausChannel":
-        ops = [as_operator(k) for k in kraus]
-        if not ops:
-            raise DimensionMismatch("a channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        if any(k.shape != (d, d) for k in ops):
-            raise DimensionMismatch("Kraus operators have mixed dimensions")
-        channel = cls(d, ops)
+        try:
+            k = np.array(kraus, dtype=complex)
+        except (TypeError, ValueError, OverflowError):  # not one stack of numbers
+            k = np.empty(0)
+        if not (k.ndim == 3 and len(k) and k.shape[1] == k.shape[2] >= 1 and np.isfinite(k).all()):
+            ops = [as_operator(m) for m in kraus]  # words the error of the first bad operator
+            raise DimensionMismatch(
+                "Kraus operators have mixed dimensions" if ops else "a channel needs at least one Kraus operator"
+            )
+        channel = cls(k.shape[1], k)
         residual = channel.closure_residual()
         if residual > CLOSURE_TOL:
             raise ClosureViolation(

@@ -34,10 +34,11 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_ket,
+    fro_norms,
     orthonormal_complement,
     support_frame,
 )
-from .povm import Povm, PovmClass, _fro_norms, classify, rank_one_supports
+from .povm import Povm, PovmClass, classify, rank_one_supports
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +87,14 @@ class CleannessVerdict:
     separating_pair: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def scalar_weight(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Optional[float]:
-    """The scalar mu with ``matrix = mu * 1``, or None if the matrix is not scalar."""
-    d = matrix.shape[0]
-    mu = float(np.trace(matrix).real) / d
-    if np.linalg.norm(matrix - mu * np.eye(d)) <= tol.zero * max(1.0, np.linalg.norm(matrix)):
-        return mu
-    return None
+def scalar_weights(matrices: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[Optional[float]]:
+    """For each matrix of an ``(n, d, d)`` stack, the scalar mu with ``matrix = mu * 1``,
+    or None if it is not scalar; all 2n norms in one ``vecdot`` pass."""
+    d = matrices.shape[-1]
+    mu = np.trace(matrices, axis1=1, axis2=2).real / d
+    off, size = fro_norms(np.concatenate([matrices - mu[:, None, None] * np.eye(d), matrices])).reshape(2, -1)
+    scalar = (off <= tol.zero * np.maximum(1.0, size)).tolist()
+    return [m if ok else None for m, ok in zip(mu.tolist(), scalar)]
 
 
 def _partition(basis_kets, blocks, element_indices) -> BlockPartition:
@@ -129,12 +131,11 @@ def decide_clean(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> CleannessVerdict:
     if not supports:
         return _decide_full_rank(povm, tol)
 
-    kets = [s.ket for s in supports]
-    frame = support_frame(kets, tol)
+    frame = support_frame(np.array([s.ket for s in supports]), tol)
     if len(frame.selected) < d:
         return _supports_do_not_span(povm, supports, frame)
 
-    basis = np.column_stack([kets[j] for j in frame.selected])
+    basis = np.column_stack([supports[j].ket for j in frame.selected])
     element_of_position = [supports[j].index for j in frame.selected]
     merged: list[set[int]] = []  # a selected ket's span is its own position
     for span in map(set, frame.spans):
@@ -152,7 +153,7 @@ def decide_clean(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> CleannessVerdict:
 def _decide_full_rank(povm: Povm, tol: Tolerances) -> CleannessVerdict:
     """Full-rank POVM with n >= 2: never clean; pick the evidence by shape."""
     d = povm.dim
-    scalars = [scalar_weight(e.matrix, tol) for e in povm.elements]
+    scalars = scalar_weights(povm.matrices, tol)
     if all(mu is not None for mu in scalars):
         return CleannessVerdict(False, VerdictReason.SCALAR_ELEMENTS, None, None)
     # A non-scalar element has distinct extreme eigenvalues; mixing their
@@ -242,24 +243,24 @@ def totally_determined_nullspace(
     if not len(kets):
         return d * d
     with np.errstate(over="ignore"):
-        norms = _fro_norms(kets)  # rounds as np.linalg.norm of each ket does
+        norms = fro_norms(kets)  # rounds as np.linalg.norm of each ket does
     odd = ~((norms >= _NORM_FLOOR) & (norms < np.inf))
     if odd.any():  # a squared norm overflowed or left the normal range
         peak = np.abs(kets[odd]).max(axis=1, keepdims=True)
         kets[odd] /= np.where(peak > 0, peak, 1.0)  # a zero ket stays zero
-        norms[odd] = _fro_norms(kets[odd])
+        norms[odd] = fro_norms(kets[odd])
     if not norms.all():
         i = int(np.argmin(norms))
         raise ZeroElement(f"support {i + 1} is zero", index=i)
     psi = kets / norms[:, None]
     n = len(psi)
     _, s, vh = np.linalg.svd(psi.T)
-    r = int(np.sum(s > tol.rank * s[0]))
+    r = int((s > tol.rank * s[0]).sum())
     near_cut, rank_m = _near_cut(s, tol), 0
     if not near_cut and n > r:
         m = (vh[:r, None, :] * vh[None, r:, :].conj()).reshape(-1, n)
         t = np.linalg.svd(m, compute_uv=False)
-        rank_m = int(np.sum(t > tol.rank * t[0]))
+        rank_m = int((t > tol.rank * t[0]).sum())
         near_cut = _near_cut(t, tol)
     if near_cut:
         return _system_nullity(psi, tol)
@@ -270,7 +271,7 @@ def _near_cut(s: np.ndarray, tol: Tolerances) -> bool:
     """Whether a value of a descending spectrum lies within ``_ORACLE_BAND`` of
     its cut ``tol.rank * s[0]``, either way; a zero cut holds exact zeros."""
     cut = tol.rank * s[0]
-    return bool(np.any((s >= cut / _ORACLE_BAND) & (s <= cut * _ORACLE_BAND)))
+    return bool(((s >= cut / _ORACLE_BAND) & (s <= cut * _ORACLE_BAND)).any())
 
 
 def _system_nullity(psi: np.ndarray, tol: Tolerances) -> int:

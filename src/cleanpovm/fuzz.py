@@ -57,13 +57,17 @@ _SCENARIOS = (
     ("split-oblique", 0.12),
     ("nonspanning", 0.06),
 )
+_NAMES = [s for s, _ in _SCENARIOS]
+_WEIGHTS = np.array([w for _, w in _SCENARIOS])
+#: The table ``rng.choice(_NAMES, p=_WEIGHTS / _WEIGHTS.sum())`` builds before its
+#: one uniform draw u, which picks ``_NAMES[_CDF.searchsorted(u, side="right")]``.
+_CDF = (_WEIGHTS / _WEIGHTS.sum()).cumsum()
+_CDF /= _CDF[-1]
 
 
 def random_quasi_qubit_instance(dim: int, rng: np.random.Generator) -> tuple[str, Povm]:
     """One POVM from the scenario mix; always quasi-qubit with n >= 2 outcomes."""
-    names = [s for s, _ in _SCENARIOS]
-    weights = np.array([w for _, w in _SCENARIOS])
-    scenario = str(rng.choice(names, p=weights / weights.sum()))
+    scenario = _NAMES[int(_CDF.searchsorted(rng.random(), side="right"))]
     d = dim
 
     if scenario == "rank-one":
@@ -125,14 +129,15 @@ def check_instance(povm: Povm, rng: np.random.Generator, tol: Tolerances = DEFAU
     perm = rng.permutation(povm.n_outcomes)
     # the POVM's validated elements, reordered; revalidating them at the same
     # tolerance would give them back bit for bit
-    permuted = Povm(povm.dim, tuple(povm.elements[i] for i in perm))
+    elements = tuple(povm.elements[i] for i in perm)
+    permuted = Povm(povm.dim, elements, None, povm.matrices[perm], povm.eigenvalues[perm])
     if decide_clean(permuted, tol).clean != verdict.clean:
         problems.append("verdict changed under element permutation")
 
     u = haar_unitary(povm.dim, rng)
     # validated at the tolerance the generator used, so that the conjugated
     # copy, like the permuted one, keeps the ranks of the POVM as drawn
-    conjugated = validate([u @ e.matrix @ u.conj().T for e in povm.elements], DEFAULT_TOL)
+    conjugated = validate(u @ povm.matrices @ u.conj().T, DEFAULT_TOL)
     if decide_clean(conjugated, tol).clean != verdict.clean:
         problems.append("verdict changed under unitary conjugation")
 

@@ -65,7 +65,7 @@ def as_operator(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidMatrix("matrix has non-finite entries")
     return a
 
@@ -75,9 +75,20 @@ def as_ket(vector, dim=None) -> np.ndarray:
     v = np.asarray(vector, dtype=complex).reshape(-1)
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"expected a vector of dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidMatrix("vector has non-finite entries")
     return v
+
+
+def fro_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix (or ket) of a stack, in one ``vecdot`` pass.
+
+    Summed as ``np.linalg.norm`` sums a single matrix (real and imaginary
+    dot products of the flattened entries), so every tolerance comparison
+    decides exactly as a per-matrix norm would.
+    """
+    flat = stack.reshape(len(stack), -1) if stack.ndim > 2 else stack
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def hermitian_part(matrix) -> np.ndarray:
@@ -94,8 +105,8 @@ def eig_hermitian(matrix):
     Returns eigenvalues ascending and orthonormal eigenvector columns.
     """
     a = as_operator(matrix)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    asym = float(np.linalg.norm(a - a.conj().T))
+    size, asym = fro_norms(np.concatenate([a, a - a.conj().T]).reshape(2, -1)).tolist()
+    scale = max(1.0, size)
     if asym > HERM_TOL * scale:
         raise NonHermitianInput(
             f"asymmetry {asym:.3e} exceeds {HERM_TOL:.1e} * {scale:.3e}"
@@ -133,39 +144,40 @@ def support_frame(kets, tol: Tolerances = DEFAULT_TOL) -> SupportFrame:
     n, d = k.shape
     k = k.T  # one ket per column
     norms = np.linalg.norm(k, axis=0)
+    cuts = tol.rank * norms
     selected: list[int] = []
     q = np.zeros((d, d), dtype=complex)  # columns past len(selected) stay zero
     proj = np.zeros((d, d), dtype=complex)  # q q^dagger
-    for j in range(n):
-        if len(selected) == d:
-            break
+    for j, cut in enumerate(cuts.tolist()):
         r = k[:, j]
-        for _ in range(2):  # the second pass keeps q orthonormal
-            r = r - proj @ r
-        residual = np.sqrt(np.vdot(r, r).real)
-        if residual > tol.rank * norms[j]:
+        r = r - proj.dot(r)  # ndarray.dot: the product @ takes, with less call overhead
+        r -= proj.dot(r)  # the second pass keeps q orthonormal
+        residual = math.sqrt(np.vdot(r, r).real)
+        if residual > cut:
             u = r / residual
             q[:, len(selected)] = u
-            proj += np.outer(u, u.conj())
+            proj += u[:, None] * u.conj()  # np.outer's product
             selected.append(j)
+            if len(selected) == d:
+                break
     rank = len(selected)
     q = q[:, :rank]
 
     spans = {j: (pos,) for pos, j in enumerate(selected)}
-    others = [j for j in range(n) if j not in spans]
+    others = sorted(set(range(n)).difference(selected))
     if others:
-        basis, rest = k[:, selected], k[:, others]
-        coords = np.linalg.solve(q.conj().T @ basis, q.conj().T @ rest)
-        order = np.argsort(-np.abs(coords) * norms[selected, None], axis=0, kind="stable")
-        # R of [reordered basis | ket] ends in the ket's coordinates along an
-        # orthonormal basis built prefix by prefix; its tail norms are the
-        # residuals against the prefixes, and they never increase.
-        stacked = np.concatenate([basis.T[order.T], rest.T[:, None]], axis=1).swapaxes(-1, -2)
-        y = np.abs(np.linalg.qr(stacked, mode="r")[..., -1]) ** 2
+        basis, rest, qh = k[:, selected], k[:, others], q.conj().T
+        coords = np.linalg.solve(qh @ basis, qh @ rest)
+        order = np.argsort(-np.abs(coords) * norms[selected, None], axis=0, kind="stable").T
+        # R of [reordered basis | ket] (its raw factor: mode "r" only adds triu) ends in
+        # the ket's coordinates along an orthonormal basis built prefix by prefix; its
+        # tail norms are the residuals against the prefixes, and they never increase.
+        stacked = np.concatenate([basis.T[order], rest.T[:, None]], axis=1).swapaxes(-1, -2)
+        y = np.abs(np.linalg.qr(stacked, mode="raw")[0][..., -1, : min(d, rank + 1)]) ** 2
         tails = np.sqrt(np.cumsum(y[:, ::-1], axis=1)[:, ::-1])
-        held = np.count_nonzero(tails[:, 1:rank] <= tol.rank * norms[others, None], axis=1)
-        for i, j in enumerate(others):
-            spans[j] = tuple(sorted(order[: rank - held[i], i].tolist()))
+        held = (tails[:, 1:rank] <= cuts[others, None]).sum(axis=1)
+        for j, ranked, size in zip(others, order.tolist(), (rank - held).tolist()):
+            spans[j] = tuple(sorted(ranked[:size]))
     return SupportFrame(tuple(selected), q, tuple(spans[j] for j in range(n)))
 
 
@@ -177,8 +189,9 @@ def in_span(kets, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     of kets, one per row; the result holds one flag per ket.
     """
     k = np.asarray(kets, dtype=complex).reshape(-1, basis.shape[0]).T  # one ket per column
-    residual = np.linalg.norm(k - basis @ (basis.conj().T @ k), axis=0)
-    return residual <= tol.rank * np.linalg.norm(k, axis=0)
+    both = np.concatenate([k - basis @ (basis.conj().T @ k), k], axis=1).T  # one per row
+    residual, size = fro_norms(both).reshape(2, -1)
+    return residual <= tol.rank * size
 
 
 def psd_sqrt(matrix) -> np.ndarray:
@@ -190,7 +203,7 @@ def psd_sqrt(matrix) -> np.ndarray:
             f"minimum eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e} * {max(1.0, lam_max):.3e}",
             min_eigenvalue=float(w[0]),
         )
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) calls
     return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
 
 
@@ -212,12 +225,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary (QR of a complex Ginibre matrix)."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    phases = r.diagonal()
+    return q * (phases / np.abs(phases))
 
 
-def random_psd(dim: int, rng: np.random.Generator, ridge: float = 0.0) -> np.ndarray:
-    """Random positive semidefinite matrix; ``ridge`` adds a multiple of the identity."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    return hermitian_part(z @ z.conj().T) + ridge * np.eye(dim)
+def random_psd(dim: int, rng: np.random.Generator, ridge: float = 0.0, count=None) -> np.ndarray:
+    """Random positive semidefinite matrix; ``ridge`` adds a multiple of the identity.
+    With ``count``, a stack of that many, each as ``count`` one-matrix calls draw it."""
+    z = rng.standard_normal((2, dim, dim) if count is None else (count, 2, dim, dim))
+    z = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
+    return hermitian_part(z @ z.conj().swapaxes(-1, -2)) + ridge * np.eye(dim)

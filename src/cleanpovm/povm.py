@@ -35,6 +35,7 @@ from .linalg import (
     PSD_TOL,
     Tolerances,
     as_operator,
+    fro_norms,
     haar_unitary,
     hermitian_part,
     random_psd,
@@ -44,15 +45,13 @@ from .linalg import (
 def _fix_phases(kets: np.ndarray) -> np.ndarray:
     """Each row of ``kets`` normalized, its largest amplitude rotated to real positive.
 
-    Rounds as the one-ket computation does: the norm is summed as
-    ``np.linalg.norm`` sums it, and each phase is a scalar division, which
-    rounds differently from the array division in the last bit.
+    Rounds as the one-ket computation does: the norm is summed as ``np.linalg.norm``
+    sums it, and each pivot's modulus is ``np.hypot`` of its parts, as the scalar
+    ``abs(z)`` takes it (``np.abs`` of an array rounds differently in the last bit).
     """
-    norms = np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
-    u = kets / norms[:, None]
-    pivots = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
-    phases = np.array([z / abs(z) for z in pivots], dtype=complex)
-    return u * phases.conj()[:, None]
+    u = kets / fro_norms(kets)[:, None]
+    pivots = u[np.arange(len(u)), np.abs(u).argmax(axis=1)]
+    return u * (pivots / np.hypot(pivots.real, pivots.imag)).conj()[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +97,10 @@ class Povm:
     eigenvalues: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.matrices is None:
-            for name, attr in (("matrices", "matrix"), ("eigenvalues", "eigenvalues")):
-                stack = np.stack([getattr(e, attr) for e in self.elements])
-                stack.setflags(write=False)
-                object.__setattr__(self, name, stack)
+        for name, attr in (("matrices", "matrix"), ("eigenvalues", "eigenvalues")):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.stack([getattr(e, attr) for e in self.elements]))
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_outcomes(self) -> int:
@@ -152,34 +150,21 @@ def _stack(matrices) -> np.ndarray:
     return np.stack(mats)
 
 
-def _fro_norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack.
-
-    Summed as ``np.linalg.norm`` sums a single matrix (real and imaginary
-    dot products of the flattened entries), so every tolerance comparison
-    decides exactly as a per-matrix norm would.
-    """
-    flat = stack.reshape(len(stack), -1)
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
-
-
 def _povm(stack: np.ndarray, w, v, labels, tol: Tolerances) -> Povm:
     """A Povm of read-only elements over the stacked matrices and their eigendata;
     ``v`` is ``None`` for a certificate, whose elements keep eigenvalues only.
     A witness trial builds its Q here, with the eigenvalues it already took."""
     for a in (stack, w) if v is None else (stack, w, v):
         a.setflags(write=False)
-    ranks = np.sum(w > tol.rank * w[:, -1:], axis=1).tolist()
+    ranks = (w > tol.rank * w[:, -1:]).sum(axis=1).tolist()
     rank_one = [i for i, rank in enumerate(ranks) if rank == 1]
-    supports = {}
+    supports = [None] * len(ranks)
     if rank_one and v is not None:
-        supports = dict(zip(rank_one, _fix_phases(v[rank_one, :, -1])))
-    weights = w[:, -1].tolist()
-    vectors = [None] * len(ranks) if v is None else v
-    elements = tuple(
-        PovmElement(stack[i], w[i], vectors[i], rank, weights[i] if rank == 1 else None, supports.get(i))
-        for i, rank in enumerate(ranks)
-    )
+        for i, ket in zip(rank_one, _fix_phases(v[rank_one, :, -1])):
+            supports[i] = ket
+    weights = [top if rank == 1 else None for top, rank in zip(w[:, -1].tolist(), ranks)]
+    vectors = supports if v is None else v  # all None on a certificate
+    elements = tuple(map(PovmElement, stack, w, vectors, ranks, weights, supports))
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(elements):
@@ -202,7 +187,7 @@ def _axiom_violation(
     n = len(a)
     total = h.sum(axis=0)  # adds the elements in order, as a running sum does
     total.flat[:: a.shape[1] + 1] -= 1.0  # the diagonal
-    norms = _fro_norms(np.concatenate([a - a.conj().swapaxes(1, 2), a, h, total[None], *extra]))
+    norms = fro_norms(np.concatenate([a - a.conj().swapaxes(1, 2), a, h, total[None], *extra]))
     asym, size, h_size = norms[: 3 * n].reshape(3, -1)
     residual = float(norms[3 * n])
     extra_norms = norms[3 * n + 1 :]
@@ -304,12 +289,11 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _random_kets(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    kets = []
-    for _ in range(count):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        kets.append(v / np.linalg.norm(v))
-    return kets
+def _weighted_projectors(vectors: np.ndarray, weights) -> np.ndarray:
+    """``weights[i] * outer(u_i, u_i^*)`` for each row ``v_i`` and ``u_i = v_i / ||v_i||``,
+    stacked; each entry rounds as the one-ket expression does."""
+    u = vectors / fro_norms(vectors)[:, None]
+    return np.asarray(weights)[:, None, None] * (u[:, :, None] * u.conj()[:, None, :])
 
 
 def random_povm(kind: str, dim: int, n_elements: int, seed, n_rank_one=None) -> Povm:
@@ -328,24 +312,22 @@ def random_povm(kind: str, dim: int, n_elements: int, seed, n_rank_one=None) -> 
     if kind == "scalar":
         mu = rng.uniform(0.2, 1.0, size=n)
         mu = mu / mu.sum()
-        return validate([m * np.eye(d) for m in mu])
+        return validate(mu[:, None, None] * np.eye(d))
 
     if kind == "rank-one":
         if n < d:
             raise InfeasibleRequest(f"rank-one POVM needs n >= dim, got n={n} < d={d}")
         # Rows of a Haar isometry: columns m_i of the d x n block give
         # P_i = m_i m_i^dagger with sum_i P_i = 1 exactly.
-        m = haar_unitary(n, rng)[:d, :]
-        cols = [m[:, i] for i in range(n)]
-        if any(np.linalg.norm(c) < 1e-6 for c in cols):
+        cols = haar_unitary(n, rng)[:d, :].T
+        if np.any(fro_norms(cols) < 1e-6):
             return random_povm(kind, dim, n_elements, rng)  # measure-zero retry
-        return validate([np.outer(c, c.conj()) for c in cols])
+        return validate(cols[:, :, None] * cols.conj()[:, None, :])
 
     if kind == "full-rank":
         if n == 1:
             return validate([np.eye(d)])
-        parts = [random_psd(d, rng, ridge=0.05) for _ in range(n - 1)]
-        return _close_with_remainder(parts, d, rng)
+        return _close_with_remainder(random_psd(d, rng, 0.05, n - 1), d, rng)
 
     if kind == "strict-quasi-qubit":
         if n < 2:
@@ -354,26 +336,22 @@ def random_povm(kind: str, dim: int, n_elements: int, seed, n_rank_one=None) -> 
             n_rank_one = int(rng.integers(1, n))
         if not 1 <= n_rank_one <= n - 1:
             raise InfeasibleRequest(f"n_rank_one must be in [1, {n - 1}]")
-        parts = []
-        for ket in _random_kets(d, n_rank_one, rng):
-            parts.append(rng.uniform(0.2, 1.0) * np.outer(ket, ket.conj()))
-        for _ in range(n - 1 - n_rank_one):
-            parts.append(random_psd(d, rng, ridge=0.05))
-        return _close_with_remainder(parts, d, rng)
+        z = rng.standard_normal((n_rank_one, 2, d))  # each ket's real, then imaginary parts
+        parts = _weighted_projectors(z[:, 0] + 1j * z[:, 1], rng.uniform(0.2, 1.0, n_rank_one))
+        full = random_psd(d, rng, 0.05, n - 1 - n_rank_one)
+        return _close_with_remainder(np.concatenate([parts, full]), d, rng)
 
     raise InfeasibleRequest(f"unknown POVM kind {kind!r}")
 
 
-def _close_with_remainder(parts: list[np.ndarray], dim: int, rng) -> Povm:
-    """Scale ``parts`` so their sum's top eigenvalue is 0.9 and append the remainder."""
-    total = sum(parts)
-    lam = float(np.linalg.eigvalsh(total)[-1])
-    scale = 0.9 / lam
-    parts = [scale * p for p in parts]
-    remainder = np.eye(dim) - sum(parts)
-    order = list(rng.permutation(len(parts) + 1))
-    mats = parts + [remainder]
-    return validate([mats[i] for i in order])
+def _close_with_remainder(parts: np.ndarray, dim: int, rng) -> Povm:
+    """Scale the ``(n, d, d)`` stack ``parts`` so its sum's top eigenvalue is 0.9,
+    append the remainder, and shuffle. Sums run in order from zero, as ``sum`` does."""
+    lam = float(np.linalg.eigvalsh(parts.sum(axis=0, initial=0.0))[-1])
+    parts = (0.9 / lam) * parts
+    remainder = np.eye(dim) - parts.sum(axis=0, initial=0.0)
+    order = rng.permutation(len(parts) + 1)
+    return validate(np.concatenate([parts, remainder[None]])[order])
 
 
 def random_split_povm(
@@ -408,18 +386,13 @@ def random_split_povm(
         w_basis = w_basis + v_basis @ tilt
         w_basis = w_basis / np.linalg.norm(w_basis, axis=0)
 
-    def ket_in(basis):
-        c = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
-        v = basis @ c
-        return v / np.linalg.norm(v)
-
     parts = []
-    for _ in range(n_v):
-        ket = ket_in(v_basis)
-        parts.append(rng.uniform(0.2, 1.0) * np.outer(ket, ket.conj()))
-    for _ in range(n_w):
-        ket = ket_in(w_basis)
-        parts.append(rng.uniform(0.2, 1.0) * np.outer(ket, ket.conj()))
+    for basis, count in ((v_basis, n_v), (w_basis, n_w)):
+        # per ket: its coordinates' real parts, imaginary parts, then its weight
+        draws = [(rng.standard_normal((2, basis.shape[1])), rng.uniform(0.2, 1.0)) for _ in range(count)]
+        if draws:
+            c = np.array([z[0] + 1j * z[1] for z, _ in draws])
+            parts.append(_weighted_projectors((basis @ c[:, :, None])[:, :, 0], [w for _, w in draws]))
     if not parts:
         raise InfeasibleRequest("need at least one planted support")
 
@@ -430,9 +403,9 @@ def random_split_povm(
             blk = np.zeros((d, d), dtype=complex)
             blk[:k, :k] = top
             blk[k:, k:] = bottom
-            parts.append(u @ blk @ u.conj().T)
+            parts.append((u @ blk @ u.conj().T)[None])
         else:
-            parts.append(random_psd(d, rng, ridge=0.05))
+            parts.append(random_psd(d, rng, 0.05, 1))
 
-    return _close_with_remainder(parts, d, rng)
+    return _close_with_remainder(np.concatenate(parts), d, rng)
 

@@ -68,7 +68,7 @@ from .channel import KrausChannel, apply
 from .cleanness import (
     CleannessVerdict,
     VerdictReason,
-    scalar_weight,
+    scalar_weights,
     separating_pair,
 )
 from .errors import (
@@ -87,6 +87,7 @@ from .linalg import (
     PSD_TOL,
     Tolerances,
     as_ket,
+    fro_norms,
     hermitian_part,
     in_span,
     orthonormal_complement,
@@ -127,7 +128,7 @@ _PSD_FLOOR = 1e-12
 
 def _psd_within_floor(eigs: np.ndarray) -> bool:
     """Whether ascending eigenvalues (one row per matrix) all clear the PSD floor."""
-    return bool(np.all(eigs[..., 0] >= -_PSD_FLOOR * np.maximum(1.0, eigs[..., -1])))
+    return bool((eigs[..., 0] >= -_PSD_FLOOR * np.maximum(1.0, eigs[..., -1])).all())
 
 
 def _first_best(values: np.ndarray) -> int:
@@ -259,14 +260,14 @@ class _Split(NamedTuple):
     """A separating pair V + W as the constructions read it, decided once.
 
     ``in_v`` and ``in_vperp`` hold each support ket's side under
-    :func:`~cleanpovm.linalg.in_span`. On an orthogonal split ``off`` stacks
-    the blocks P_V P_i P_W and ``block_diagonal`` flags those within
-    ``tol.zero * max(1, ||P_i||)``; an oblique split leaves both ``None``.
+    :func:`~cleanpovm.linalg.in_span`. On an orthogonal split ``pi_v`` projects
+    onto V, ``off`` stacks the blocks P_V P_i P_W and ``block_diagonal`` flags those
+    within ``tol.zero * max(1, ||P_i||)``; an oblique split leaves all three ``None``.
     """
 
     ov: np.ndarray
     operp: np.ndarray
-    pi_v: np.ndarray
+    pi_v: np.ndarray | None
     supports: list[RankOneSupport]
     kets: np.ndarray
     in_v: np.ndarray
@@ -294,17 +295,17 @@ def _split(p: Povm, v_kets, tol: Tolerances) -> _Split:
     d = p.dim
     ov = support_frame(_kets(v_kets, d), tol).q
     operp = orthonormal_complement(ov)
-    pi_v = hermitian_part(ov @ ov.conj().T)
     supports = rank_one_supports(p)
     kets = np.array([s.ket for s in supports]).reshape(-1, d)
     in_v, in_vperp = in_span(kets, ov, tol), in_span(kets, operp, tol)
-    orthogonal = bool(np.all(in_v | in_vperp))
-    off = block_diagonal = None
+    orthogonal = bool((in_v | in_vperp).all())
+    pi_v = off = block_diagonal = None
     if orthogonal:
+        pi_v = hermitian_part(ov @ ov.conj().T)
         mats = p.matrices
         off = pi_v @ mats @ (np.eye(d) - pi_v)
-        scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
-        block_diagonal = np.linalg.norm(off, axis=(1, 2)) <= tol.zero * scale
+        off_size, size = fro_norms(np.concatenate([off, mats])).reshape(2, -1)
+        block_diagonal = off_size <= tol.zero * np.maximum(1.0, size)
     return _Split(ov, operp, pi_v, supports, kets, in_v, in_vperp, orthogonal, off, block_diagonal)
 
 
@@ -388,12 +389,9 @@ def witness_case_a(p: Povm, tol: Tolerances = DEFAULT_TOL) -> Witness:
     if p.n_outcomes < 2:
         raise SingleOutcome("scalar construction needs at least two outcomes")
     d = p.dim
-    weights = []
-    for i, e in enumerate(p.elements):
-        mu = scalar_weight(e.matrix, tol)
-        if mu is None:
-            raise NotScalar(f"element {i + 1} is not a multiple of the identity")
-        weights.append(mu)
+    weights = scalar_weights(p.matrices, tol)
+    if None in weights:
+        raise NotScalar(f"element {weights.index(None) + 1} is not a multiple of the identity")
 
     q_mats = np.zeros((p.n_outcomes, d, d), dtype=complex)
     q_mats[:, 0, 0] = weights
@@ -409,12 +407,12 @@ def witness_case_a(p: Povm, tol: Tolerances = DEFAULT_TOL) -> Witness:
 # case (b): orthogonal split, all elements block-diagonal
 
 
-def case_b_kraus(a: np.ndarray, eps: float) -> list[np.ndarray]:
+def case_b_kraus(a: np.ndarray, eps: float) -> np.ndarray:
     """Kraus operators of the case-(b) channel in split coordinates.
 
     ``a`` is a (dim V) x (dim V^perp) coisometry (a a^dagger = 1_V); the
-    first dim V coordinates span V. Returns the stored Kraus list K with
-    E(X) = sum K^dagger X K and exact closure.
+    first dim V coordinates span V. Returns the stored Kraus operators K, as
+    one ``(3, d, d)`` stack, with E(X) = sum K^dagger X K and exact closure.
     """
     k, m = a.shape
     d = k + m
@@ -428,7 +426,7 @@ def case_b_kraus(a: np.ndarray, eps: float) -> list[np.ndarray]:
     m1 = c1 * r_v + c2 * r_w
     m2 = c1 * r_w
     m3 = c2 * r_v - c1 * r_w
-    return [m1.conj().T, m2.conj().T, m3.conj().T]
+    return np.stack([m1, m2, m3]).conj().swapaxes(-1, -2)
 
 
 def case_b_widen_map(matrix: np.ndarray, a: np.ndarray, eps: float) -> np.ndarray:
@@ -436,16 +434,16 @@ def case_b_widen_map(matrix: np.ndarray, a: np.ndarray, eps: float) -> np.ndarra
 
     For M = diag(B, D) returns [[(1+eps^2)B + eps^2 A D A^dagger, -eps A D],
     [-eps D A^dagger, D]]; the channel maps this back to M exactly, and PSD
-    inputs give PSD outputs.
+    inputs give PSD outputs. A stack maps each matrix bit for bit as on its own.
     """
-    k, m = a.shape
-    b = matrix[:k, :k]
-    dd = matrix[k:, k:]
-    out = np.zeros_like(matrix)
-    out[:k, :k] = (1.0 + eps**2) * b + eps**2 * (a @ dd @ a.conj().T)
-    out[:k, k:] = -eps * (a @ dd)
-    out[k:, :k] = out[:k, k:].conj().T
-    out[k:, k:] = dd
+    k = a.shape[0]
+    b = matrix[..., :k, :k]
+    dd = matrix[..., k:, k:]
+    out = np.empty_like(matrix)
+    out[..., :k, :k] = (1.0 + eps**2) * b + eps**2 * (a @ dd @ a.conj().T)
+    out[..., :k, k:] = -eps * (a @ dd)
+    out[..., k:, :k] = out[..., :k, k:].conj().swapaxes(-1, -2)
+    out[..., k:, k:] = dd
     return out
 
 
@@ -481,7 +479,7 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
     if not supports or not full:
         raise PreconditionViolated("need at least one rank-one and one full-rank element")
 
-    u = np.column_stack([ov, operp])
+    u = np.concatenate([ov, operp], axis=1)
     weights = np.array([s.weight for s in supports])
     j = int(np.argmax(np.where(in_v, weights, -np.inf)))  # the heaviest support in V
     if not in_v[j] or weights[j] * _EPS_START**2 < WIDENING_MARGIN:
@@ -500,13 +498,14 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
         a = basis[:, :k].conj().T
 
     absorber = full[0]
-    p_adapted = [u.conj().T @ e.matrix @ u for e in p.elements]
     others = [i for i in range(p.n_outcomes) if i != absorber]
+    p_others = u.conj().T @ p.matrices[others] @ u  # in u's coordinates
 
     def attempt(eps):
-        q_adapted = {i: case_b_widen_map(p_adapted[i], a, eps) for i in others}
-        q_adapted[absorber] = np.eye(d, dtype=complex) - sum(q_adapted[i] for i in others)
-        adapted = np.stack([q_adapted[i] for i in range(p.n_outcomes)])
+        adapted = np.empty((p.n_outcomes, d, d), dtype=complex)
+        adapted[others] = widened = case_b_widen_map(p_others, a, eps)
+        # the absorber closes the sum, taken in element order from zero
+        adapted[absorber] = np.eye(d, dtype=complex) - widened.sum(axis=0, initial=0.0)
         q_mats = hermitian_part(u @ adapted @ u.conj().T)
         eigs = np.linalg.eigvalsh(q_mats)
         w_abs = eigs[absorber]
@@ -518,7 +517,7 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
             headroom = ""
         if headroom and eps in _EPS_GOES_ON:  # the judge checks the headroom first
             return _Trial(None, headroom.format(eps=eps), False)
-        channel = KrausChannel.build([u @ mk @ u.conj().T for mk in case_b_kraus(a, eps)])
+        channel = KrausChannel.build(u @ case_b_kraus(a, eps) @ u.conj().T)
         q = _povm(q_mats, eigs, None, p.labels, tol)
         witness = Witness(q, channel, designated.index, "b", eps, MAX_EIG_INCREASE)
         return _judge(p, witness, tol, headroom)
@@ -657,21 +656,24 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     _, rot = np.linalg.eigh(psi_map.conj().T @ psi_map)
     a = psi_map @ rot  # columns mutually orthogonal
     operp = operp @ rot
-    u = np.column_stack([ov, operp])
+    u = np.concatenate([ov, operp], axis=1)
 
     supports = split.supports
     in_w = in_span(split.kets, support_frame(w_rows, tol).q, tol)
-    if not np.all(split.in_v | in_w):
+    if not (split.in_v | in_w).all():
         raise PreconditionViolated("a rank-one support lies outside V and W")
     widenable = [s_.index for s_, ok in zip(supports, in_w & ~split.in_vperp) if ok]
     if not widenable:
         raise PreconditionViolated("no rank-one support lies in W away from V^perp")
 
-    aa_top = float(np.linalg.eigvalsh(hermitian_part(a @ a.conj().T))[-1])
+    aa = a @ a.conj().T
+    aa_top = float(np.linalg.eigvalsh(hermitian_part(aa))[-1])
     y = u.conj().T @ p.matrices @ u  # P in u's coordinates; every trial solves E(X) = y
+    # what no trial changes, among them A X22 A^dagger, since X22 = Y22
+    fixed = (u, u.conj().T, a, aa, aa_top, y, a @ y[:, k:, k:] @ a.conj().T)
 
     def attempt(eps):
-        return _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol)
+        return _case_d_attempt(p, fixed, eps, widenable, tol)
 
     first = attempt(_EPS_START)
     if first.witness is not None:
@@ -681,7 +683,7 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     return _eps_walk(attempt, _EPS_SCHEDULE[1:], False, "d")
 
 
-def _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol):
+def _case_d_attempt(p, fixed, eps, widenable, tol):
     """One eps trial for case (d), judged as a :class:`_Trial`.
 
     Pulls every element back through the trial channel's block inverse and
@@ -692,13 +694,14 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol):
     fail positivity, every check asks for a smaller eps, so a trial at an
     eps in :data:`_EPS_GOES_ON` stops there, before building its channel.
     """
+    u, uh, a, aa, aa_top, y, a_y22_ah = fixed
     d = p.dim
     k, m = a.shape
     t = eps**2
     coeff = 1.0 / (1.0 - t) ** 2 - 1.0  # closure forces B^2 = 1 - coeff A A^dagger
     if coeff * aa_top >= 1.0 - 1e-9:
         return _Trial(None, f"B(eps) undefined at eps={eps}", False)
-    b_mat = psd_sqrt(np.eye(k) - coeff * (a @ a.conj().T))
+    b_mat = psd_sqrt(np.eye(k) - coeff * aa)
 
     # in u, E(X) = sum m X m^dagger is block upper-triangular: solve it block by block
     b_inv = np.linalg.inv(b_mat)
@@ -710,8 +713,8 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol):
     x[:, k:, :k] = x[:, :k, k:].conj().swapaxes(-1, -2)
     cross = a @ x[:, k:, :k] @ b_mat  # A X21 B; its adjoint is B X12 A^dagger
     rhs = y[:, :k, :k] - alpha * (cross + cross.conj().swapaxes(-1, -2))
-    x[:, :k, :k] = b_inv @ (rhs - beta * (a @ x[:, k:, k:] @ a.conj().T)) @ b_inv
-    q_mats = hermitian_part(u @ x @ u.conj().T)
+    x[:, :k, :k] = b_inv @ (rhs - beta * a_y22_ah) @ b_inv
+    q_mats = hermitian_part(u @ x @ uh)
     eigs = np.linalg.eigvalsh(q_mats)
     gains = eigs[widenable, -1] - p.eigenvalues[widenable, -1]
     j = _first_best(gains)
@@ -719,14 +722,14 @@ def _case_d_attempt(p, u, a, aa_top, eps, widenable, y, tol):
     if headroom and eps in _EPS_GOES_ON and gains[j] >= WIDENING_MARGIN:
         return _Trial(None, headroom.format(eps=eps), False)
 
-    r_v = np.zeros((d, d), dtype=complex)
-    r_v[:k, :k] = b_mat
-    r_v[:k, k:] = -a / (1.0 - t)
-    r_w = np.zeros((d, d), dtype=complex)
-    r_w[:k, k:] = a
-    r_w[k:, k:] = np.eye(m)
-    m3 = math.sqrt(1.0 - t) * (r_v + r_w)
-    kraus = [u @ mk.conj().T @ u.conj().T for mk in (eps * r_v, eps * r_w, m3)]
+    r = np.zeros((3, d, d), dtype=complex)  # R_V, R_W, then sqrt(1 - eps^2) (R_V + R_W)
+    r[0, :k, :k] = b_mat
+    r[0, :k, k:] = -a / (1.0 - t)
+    r[1, :k, k:] = a
+    r[1, k:, k:] = np.eye(m)
+    r[2] = math.sqrt(1.0 - t) * (r[0] + r[1])
+    r[:2] *= eps
+    kraus = u @ r.conj().swapaxes(-1, -2) @ uh
     try:
         channel = KrausChannel.build(kraus)
     except ClosureViolation as exc:

@@ -30,6 +30,42 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+#: The ``numpy.linalg`` entry points whose calls one fuzz instance is budgeted for.
+LINALG_CALLS = ("eigh", "eigvalsh", "svd", "qr", "solve", "inv", "cholesky", "norm")
+
+#: Ceiling on the total of :func:`linalg_calls` at d = 4 over seeds 0..49, 17.9
+#: calls per instance (28.8 before the fuzz path ran on stacks); it may only fall.
+LINALG_CALL_BUDGET = 895
+
+
+def linalg_calls(dim: int = 4, seeds=range(50)) -> dict:
+    """``numpy.linalg`` calls of ``run_fuzz(dim, 1, s)`` for each seed s, by function."""
+    counts = dict.fromkeys(LINALG_CALLS, 0)
+    originals = {name: getattr(np.linalg, name) for name in LINALG_CALLS}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    try:
+        for name in LINALG_CALLS:
+            setattr(np.linalg, name, counted(name))
+        for seed in seeds:
+            fuzz.run_fuzz(dim, 1, seed)
+    finally:
+        for name, original in originals.items():
+            setattr(np.linalg, name, original)
+    return counts
+
+
+def test_linalg_call_budget():
+    """The d = 4 fuzz path's numpy.linalg calls stay within the pinned budget."""
+    counts = linalg_calls()
+    assert sum(counts.values()) <= LINALG_CALL_BUDGET, counts
+
+
 def test_each_check_runs_once(monkeypatch):
     decides = counting(monkeypatch, fuzz, "decide_clean")
     oracles = counting(monkeypatch, fuzz, "oracle_verdict")

@@ -17,11 +17,10 @@ from cleanpovm.errors import (
 )
 from cleanpovm.fileio import dumps_canonical, povm_from_json, povm_to_json
 from cleanpovm.fuzz import random_quasi_qubit_instance
-from cleanpovm.linalg import DEFAULT_TOL, as_operator, haar_unitary, hermitian_part
+from cleanpovm.linalg import DEFAULT_TOL, as_operator, fro_norms, haar_unitary, hermitian_part
 from cleanpovm.povm import (
     Povm,
     PovmClass,
-    _fro_norms,
     classify,
     povm_unchecked,
     random_povm,
@@ -179,7 +178,7 @@ class TestStackedValidate:
         rng = np.random.default_rng(8)
         for d in (2, 3, 5, 8, 16):
             a = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
-            assert np.array_equal(_fro_norms(a), [np.linalg.norm(m) for m in a])
+            assert np.array_equal(fro_norms(a), [np.linalg.norm(m) for m in a])
 
     def test_cached_arrays_read_only(self):
         p = random_povm("strict-quasi-qubit", 3, 4, 5)
