@@ -43,9 +43,8 @@ class KrausChannel:
             k = np.empty(0)
         if not (k.ndim == 3 and len(k) and k.shape[1] == k.shape[2] >= 1 and np.isfinite(k).all()):
             ops = [as_operator(m) for m in kraus]  # words the error of the first bad operator
-            raise DimensionMismatch(
-                "Kraus operators have mixed dimensions" if ops else "a channel needs at least one Kraus operator"
-            )
+            mixed = "Kraus operators have mixed dimensions"
+            raise DimensionMismatch(mixed if ops else "a channel needs at least one Kraus operator")
         channel = cls(k.shape[1], k)
         residual = channel.closure_residual()
         if residual > CLOSURE_TOL:

@@ -276,11 +276,7 @@ def rank_one_supports(povm: Povm) -> list[RankOneSupport]:
             "the POVM keeps eigenvalues only (built without the axiom checks); "
             "validate it to read its supports"
         )
-    out = []
-    for i, e in enumerate(povm.elements):
-        if e.rank == 1:
-            out.append(RankOneSupport(i, float(e.weight), e.support))
-    return out
+    return [RankOneSupport(i, float(e.weight), e.support) for i, e in enumerate(povm.elements) if e.rank == 1]
 
 
 def _as_generator(seed) -> np.random.Generator:

@@ -15,6 +15,7 @@ import pytest
 from cleanpovm import fuzz, povm as povm_module
 from cleanpovm.channel import KrausChannel
 from cleanpovm.cleanness import scalar_weights
+from cleanpovm.errors import DimensionMismatch, InvalidMatrix
 from cleanpovm.linalg import (
     DEFAULT_TOL,
     eig_hermitian,
@@ -248,6 +249,21 @@ class TestChannel:
         ops = [0.6 * u, 0.8 * np.eye(d)]
         assert same(KrausChannel.build(ops).kraus, KrausChannel.build(np.stack(ops)).kraus)
         assert same(KrausChannel.build(ops).kraus, np.stack(ops).astype(complex))
+
+    @pytest.mark.parametrize(
+        "kraus, error, message",
+        [
+            ([], DimensionMismatch, "a channel needs at least one Kraus operator"),
+            (np.empty((0, 2, 2)), DimensionMismatch, "a channel needs at least one Kraus operator"),
+            ([np.eye(2), np.eye(3)], DimensionMismatch, "Kraus operators have mixed dimensions"),
+            ([np.eye(2), np.ones((2, 3))], DimensionMismatch, r"expected a square matrix, got shape \(2, 3\)"),
+            ([np.eye(2), np.diag([np.nan, 1.0])], InvalidMatrix, "matrix has non-finite entries"),
+            ([[1.0, 2.0]], DimensionMismatch, r"expected a square matrix, got shape \(2,\)"),
+        ],
+    )
+    def test_build_words_a_bad_operator_as_the_per_operator_checks(self, kraus, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            KrausChannel.build(kraus)
 
 
 class TestWitness:
