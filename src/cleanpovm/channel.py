@@ -43,8 +43,10 @@ class KrausChannel:
             k = np.empty(0)
         if not (k.ndim == 3 and len(k) and k.shape[1] == k.shape[2] >= 1 and np.isfinite(k).all()):
             ops = [as_operator(m) for m in kraus]  # words the error of the first bad operator
-            mixed = "Kraus operators have mixed dimensions"
-            raise DimensionMismatch(mixed if ops else "a channel needs at least one Kraus operator")
+            if not ops or any(m.shape != ops[0].shape for m in ops):
+                mixed = "Kraus operators have mixed dimensions"
+                raise DimensionMismatch(mixed if ops else "a channel needs at least one Kraus operator")
+            k = np.array(ops)  # good operators from an iterable that numpy does not read as a sequence
         channel = cls(k.shape[1], k)
         residual = channel.closure_residual()
         if residual > CLOSURE_TOL:

@@ -163,7 +163,7 @@ def _povm(stack: np.ndarray, w, v, labels, tol: Tolerances) -> Povm:
         for i, ket in zip(rank_one, _fix_phases(v[rank_one, :, -1])):
             supports[i] = ket
     weights = [top if rank == 1 else None for top, rank in zip(w[:, -1].tolist(), ranks)]
-    vectors = supports if v is None else v  # all None on a certificate
+    vectors = [None] * len(ranks) if v is None else v
     elements = tuple(map(PovmElement, stack, w, vectors, ranks, weights, supports))
     if labels is not None:
         labels = tuple(str(s) for s in labels)

@@ -250,6 +250,10 @@ class TestChannel:
         assert same(KrausChannel.build(ops).kraus, KrausChannel.build(np.stack(ops)).kraus)
         assert same(KrausChannel.build(ops).kraus, np.stack(ops).astype(complex))
 
+    def test_build_reads_an_iterable_that_is_not_a_sequence(self):
+        ops = [0.6 * np.eye(3), 0.8 * np.eye(3)]
+        assert same(KrausChannel.build(m for m in ops).kraus, KrausChannel.build(ops).kraus)
+
     @pytest.mark.parametrize(
         "kraus, error, message",
         [
