@@ -1,5 +1,7 @@
 """Tests for the cleanness decision, the nullspace oracle, and ``support_frame``'s frame test."""
 
+import dataclasses
+import re
 import warnings
 from itertools import combinations
 
@@ -19,7 +21,7 @@ from cleanpovm.fuzz import random_quasi_qubit_instance
 from cleanpovm.linalg import DEFAULT_TOL, Tolerances, haar_unitary, in_span, support_frame
 from cleanpovm.povm import random_povm, random_split_povm, rank_one_supports, validate
 from cleanpovm import cleanness, witness
-from cleanpovm.witness import build_witness
+from cleanpovm.witness import WitnessReport, build_witness
 from samplers import near_boundary_povm
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -507,6 +509,24 @@ def test_failing_case_d_search_is_short(monkeypatch, instance):
     with pytest.raises(ConstructionFailed, match=match):
         build_witness(p, decide_clean(p, tol), tol)
     assert 0 < len(calls) <= witness._EPS_HALVINGS
+
+
+@pytest.mark.parametrize("delta, i", [(3e-9, 16), (3e-9, 28), (3e-9, 88), (3e-9, 114), (1e-8, 66)])
+def test_probe_case_d_failures_are_pinned(delta, i):
+    """Each failed case-d search of the probe climbs to eps = 0.95 and ends on
+    a margin of rounding size, carrying its case tag and its last report."""
+    p = near_boundary_povm(i, delta)
+    with pytest.raises(ConstructionFailed) as info:
+        build_witness(p, decide_clean(p))
+    message = re.fullmatch(
+        r"witness construction failed: case-\(d\) eps search failed; last problem: "
+        r"widening margin (\S+) below contract at eps=0\.95",
+        str(info.value),
+    )
+    assert message is not None, str(info.value)
+    assert 0 < float(message[1]) < 1e-13
+    assert info.value.case_tag == "d"
+    assert list(info.value.diagnostics) == [f.name for f in dataclasses.fields(WitnessReport)]
 
 
 def _support_families():

@@ -189,3 +189,14 @@ def test_search_that_ends_on_a_failed_report_is_a_failed_verification():
     assert problems == [
         "witness verification failed: unital=True maps=True widened=True valid=False"
     ]
+
+
+def test_coarse_tolerance_failure_paths_are_pinned():
+    """The violations of one ``--tol 1e-2`` run, as indices and messages: two
+    oracle ties and four case-c searches whose every report finds Q invalid."""
+    summary = fuzz.run_fuzz(4, 300, 3, Tolerances(rank=1e-2, zero=1e-2))
+    tie = "oracle disagreement: verdict clean=True, oracle clean=False"
+    invalid = "witness verification failed: unital=True maps=True widened=True valid=False"
+    assert [(v.index, v.message) for v in summary.violations] == [
+        (6, tie), (82, invalid), (107, invalid), (198, invalid), (220, invalid), (296, tie)
+    ]
