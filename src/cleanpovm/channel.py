@@ -4,9 +4,10 @@ A channel acts on operators as ``E(A) = sum_a K_a^dagger A K_a`` with the
 closure ``sum_a K_a^dagger K_a = 1`` (so E is unital: E(1) = 1). A
 :class:`KrausChannel` holds its operators as one read-only ``(m, d, d)``
 stack: :func:`apply` maps with it, and :meth:`KrausChannel.closure_defect`
-is the one closure sum, which :meth:`KrausChannel.build` gates on and
-:func:`~cleanpovm.witness.verify_witness` reports. Channels never widen the
-spectrum of a Hermitian operator.
+is the one closure sum. :meth:`KrausChannel.build`, the validated
+constructor, gates on it; a witness trial uses the plain constructor, and
+:func:`~cleanpovm.witness.verify_witness`'s report is its one closure check.
+Channels never widen the spectrum of a Hermitian operator.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .linalg import CLOSURE_TOL, as_operator, hermitian_part
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Validated Kraus channel; use :meth:`build` to construct one.
+    """Kraus channel; :meth:`build` constructs a validated one.
 
     ``kraus`` is one read-only ``(m, d, d)`` complex stack. The constructor
-    stacks whatever sequence of matrices it is given into a copy, once.
+    copies whatever matrices it is given into it, once, and checks nothing.
     """
 
     dim: int

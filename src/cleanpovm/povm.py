@@ -5,8 +5,8 @@ to the identity. :func:`validate` decomposes every element fully, in one
 stacked ``eigh``: elements whose rank is 1 carry a cached weight/support
 decomposition ``P = weight * |support><support|`` with the support phase
 fixed so its largest-magnitude amplitude is real positive. A certificate
-built by :func:`povm_unchecked` (a witness's Q, tried or loaded) keeps
-eigenvalues only, from one stacked ``eigvalsh``: ranks and weights, but no
+(a witness's Q, loaded by :func:`povm_unchecked` or built by an eps trial)
+keeps eigenvalues only, from one stacked ``eigvalsh``: ranks and weights, but no
 eigenvectors or supports, which :func:`rank_one_supports` refuses to read.
 """
 
@@ -239,8 +239,8 @@ def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> 
 def povm_unchecked(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
     """A certificate :class:`Povm`: eigenvalues only, and no axiom checks.
 
-    For a witness's Q, built by a construction or read from a file: the
-    matrices are kept exactly as given, so that
+    For a witness's Q read from a file (an eps trial hands its Q's stacks to
+    the Povm itself): the matrices are kept exactly as given, so that
     :func:`cleanpovm.witness.verify_witness` decides whether they form a
     POVM. Only shapes and labels are checked. One stacked ``eigvalsh`` of the
     Hermitian part gives the eigenvalues, ranks and weights; no eigenvectors

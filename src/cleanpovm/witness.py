@@ -26,18 +26,19 @@ that made the partition, every support's side (V or V^perp) under the same
 rule, and every element's off-diagonal block. Case d reads W's basis, and
 tests V + W for supplementarity, under that rule too; each of its trials
 widens the W-support whose eigenvalue gains most at that eps. The cases
-also share one search over their deformation parameter and one judge for
-its trials. A trial builds one candidate, Q as a certificate
-:class:`~cleanpovm.povm.Povm` (matrices and one stacked ``eigvalsh``, no
-eigenvectors) and E through :meth:`KrausChannel.build`, and is judged by
-:func:`verify_witness`'s report on it plus the construction's own positivity
-headroom. The search walks a fixed schedule and stops at the first failure
-that asks to move the other way: a missed widening margin asks for a larger
-eps, every other failure for a smaller one. Cases b and d run eps down
-0.25 * 2^-k and stop once the margin is missed, since a smaller eps only
-widens less; case d climbs a few fixed values instead when eps = 0.25
-already misses the margin. The accepted trial's witness is returned as it
-is: its report was the verification.
+also share one search over their deformation parameter, which runs every
+trial, and one judge, which builds a trial's candidate once (Q as a
+certificate :class:`~cleanpovm.povm.Povm` over its matrices and the one
+stacked ``eigvalsh`` the trial took, E as a :class:`KrausChannel` over its
+Kraus stack) and accepts it on :func:`verify_witness`'s report, the trial's
+one closure check, plus the construction's own positivity headroom. The
+search judges a start value; its failure picks a side (a missed widening
+margin asks for a larger eps, every other failure for a smaller one), and
+the search walks that side until a failure asks to move back. Cases b and d
+run down 0.25 * 2^-k, since a smaller eps only widens less, and case d
+climbs a few fixed values instead when 0.25 misses the margin; case c only
+climbs. The accepted trial's witness is returned as it is: its report was
+the verification.
 
 A trial of case b or d takes Q's eigenvalues first. When they already fix
 the judge's answer as "rejected, try a smaller eps" (case b: the headroom
@@ -73,7 +74,6 @@ from .cleanness import (
 )
 from .errors import (
     CleanPovmError,
-    ClosureViolation,
     ConstructionFailed,
     DimensionMismatch,
     EpsilonSearchFailed,
@@ -99,7 +99,6 @@ from .povm import (
     RankOneSupport,
     _axiom_violation,
     _povm,
-    povm_unchecked,
     rank_one_supports,
 )
 
@@ -311,7 +310,7 @@ def _split(p: Povm, v_kets, tol: Tolerances) -> _Split:
 
 class _Trial(NamedTuple):
     """One eps trial: the accepted witness, or its first failed check, which way
-    that check asks eps to move, and the report (``None`` if a pre-check failed
+    that check asks eps to move, and the report (``None`` if B(eps) is undefined
     or the trial stopped on Q's eigenvalues)."""
 
     witness: Witness | None
@@ -324,9 +323,11 @@ _MARGIN_TEXT = "widening margin {margin:.2e} below contract at eps={eps}"
 _DROP_TEXT = f"largest minimum-eigenvalue drop {{margin:.3e}} at eps={{eps}} is below {WIDENING_MARGIN}"
 
 
-def _judge(p, witness, tol, headroom="", margin_text=_MARGIN_TEXT, margin_first=False) -> _Trial:
-    """Accept one trial's candidate on its :func:`verify_witness` report, or
-    name its first failed check.
+def _judge(p, tol, q_mats, eigs, kraus, index, case_tag, eps, direction, headroom="",
+           margin_first=False) -> _Trial:
+    """Build one trial's candidate, Q over ``q_mats`` and the eigenvalues ``eigs``
+    the trial took and E over ``kraus``, and accept it on its
+    :func:`verify_witness` report, or name its first failed check.
 
     ``headroom`` words the construction's own positivity failure (empty when
     Q clears it). The order is headroom, closure, map residual, widening
@@ -334,40 +335,44 @@ def _judge(p, witness, tol, headroom="", margin_text=_MARGIN_TEXT, margin_first=
     margin. A failed margin asks for a larger eps, any other check for a
     smaller one. Problems are formatted with the report's ``margin`` and ``eps``.
     """
+    q = _povm(q_mats, eigs, None, p.labels, tol)
+    witness = Witness(q, KrausChannel(p.dim, kraus), index, case_tag, eps, direction)
     report = verify_witness(p, witness, tol)
     checks = [
         (not headroom, headroom, False),
         (report.channel_unital, "closure residual above contract at eps={eps}", False),
         (report.maps_to_target, "map residual above contract at eps={eps}", False),
-        (report.widened, margin_text, True),
+        (report.widened, _DROP_TEXT if direction == MIN_EIG_DECREASE else _MARGIN_TEXT, True),
         (report.q_valid, "Q fails the POVM axioms at eps={eps}", False),
     ]
     if margin_first:  # closure, map residual, margin, headroom, axioms
         checks.insert(3, checks.pop(0))
     for ok, problem, needs_larger in checks:
         if not ok:
-            problem = problem.format(margin=report.widening_margin, eps=witness.epsilon)
+            problem = problem.format(margin=report.widening_margin, eps=eps)
             return _Trial(None, problem, needs_larger, report)
     return _Trial(witness, "", False, report)
 
 
-def _eps_walk(trial, schedule, larger: bool, case_tag: str) -> Witness:
-    """Judge ``trial`` at each value of ``schedule`` until one is accepted.
+def _eps_walk(trial, case_tag: str, start, down=(), up=()) -> Witness:
+    """Judge ``trial`` at ``start``, then along one side, until one is accepted.
 
-    ``trial(x)`` returns a :class:`_Trial`. The schedule moves x one way,
-    upward when ``larger``; the walk stops at the first failure that asks
-    for the other way, since every later value only moves further from what
-    that check needs. The accepted witness is returned as it is: its trial's
-    report was its one verification. Raises :class:`EpsilonSearchFailed`
-    naming the last problem, with the case tag and the last report's fields.
+    ``trial(x)`` returns a :class:`_Trial`. The first failure picks the side:
+    ``up`` when it asks for a larger x, ``down`` otherwise. The walk stops at
+    the first failure that asks for the other way, since every later value
+    only moves further from what that check needs. The accepted witness is
+    returned as it is: its trial's report was its one verification. Raises
+    :class:`EpsilonSearchFailed` naming the last problem, with the case tag
+    and the last report's fields.
     """
-    last = _Trial(None, "empty schedule", larger)
-    for x in schedule:
-        last = trial(x)
-        if last.witness is not None:
-            return last.witness
-        if last.needs_larger != larger:
+    last = trial(start)
+    larger = last.needs_larger
+    for x in up if larger else down:
+        if last.witness is not None or last.needs_larger != larger:
             break
+        last = trial(x)
+    if last.witness is not None:
+        return last.witness
     raise EpsilonSearchFailed(
         f"case-({case_tag}) eps search failed; last problem: {last.problem}",
         case_tag=case_tag,
@@ -398,9 +403,12 @@ def witness_case_a(p: Povm, tol: Tolerances = DEFAULT_TOL) -> Witness:
     q_mats[0, range(1, d), range(1, d)] = 1.0
     kraus = np.zeros((d, d, d), dtype=complex)
     kraus[range(d), 0, range(d)] = 1.0  # K_alpha = |e1><e_alpha|
-    q = povm_unchecked(q_mats, tol, p.labels)
-    witness = Witness(q, KrausChannel.build(kraus), 0, "a", 0.0, MAX_EIG_INCREASE)
-    return _eps_walk(lambda _: _judge(p, witness, tol), (0.0,), False, "a")  # one trial
+
+    def attempt(eps):
+        eigs = np.linalg.eigvalsh(q_mats)  # Q is exactly Hermitian
+        return _judge(p, tol, q_mats, eigs, kraus, 0, "a", eps, MAX_EIG_INCREASE)
+
+    return _eps_walk(attempt, "a", 0.0)  # one trial
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +525,11 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
             headroom = ""
         if headroom and eps in _EPS_GOES_ON:  # the judge checks the headroom first
             return _Trial(None, headroom.format(eps=eps), False)
-        channel = KrausChannel.build(u @ case_b_kraus(a, eps) @ u.conj().T)
-        q = _povm(q_mats, eigs, None, p.labels, tol)
-        witness = Witness(q, channel, designated.index, "b", eps, MAX_EIG_INCREASE)
-        return _judge(p, witness, tol, headroom)
+        kraus = u @ case_b_kraus(a, eps) @ u.conj().T
+        return _judge(p, tol, q_mats, eigs, kraus, designated.index, "b", eps, MAX_EIG_INCREASE,
+                      headroom)
 
-    return _eps_walk(attempt, _EPS_SCHEDULE, False, "b")
+    return _eps_walk(attempt, "b", _EPS_START, _EPS_SCHEDULE[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +590,13 @@ def _case_c(p: Povm, split: _Split, tol: Tolerances) -> Witness:
     def attempt(s):
         eps = math.sqrt(s / (1.0 + s))
         q_mats = np.where(kept, p.matrices, hermitian_part(p.matrices + s * offs))
-        q = povm_unchecked(q_mats, tol, p.labels)
-        eigs = q.eigenvalues[movers]
-        floor_ok = _psd_within_floor(eigs)
+        eigs = np.linalg.eigvalsh(q_mats)  # Q is exactly Hermitian
+        moved = eigs[movers]
+        floor_ok = _psd_within_floor(moved)
         headroom = "" if floor_ok else "a rescaled element loses positivity at eps={eps}"
         kraus = [eps * split.pi_v, eps * pi_w, math.sqrt(1.0 - eps**2) * np.eye(d)]
-        best = movers[_first_best(min_eigs - eigs[:, 0])]
-        witness = Witness(q, KrausChannel.build(kraus), best, "c", eps, MIN_EIG_DECREASE)
-        return _judge(p, witness, tol, headroom, _DROP_TEXT)
+        best = movers[_first_best(min_eigs - moved[:, 0])]
+        return _judge(p, tol, q_mats, eigs, kraus, best, "c", eps, MIN_EIG_DECREASE, headroom)
 
     s_max = float(np.min(_rescaling_bounds(p.matrices[movers], offs[movers])))
     return _case_c_bisect(attempt, s_max)
@@ -603,8 +609,8 @@ def _case_c_bisect(attempt, s_max: float) -> Witness:
     with s, and concavity keeps lambda_min(P_i + s O_i) >= (1 - s / s_max)
     lambda_min(P_i), so every trial is PSD up to rounding.
     """
-    schedule = (s_max - s_max * 0.5 ** (k + 1) for k in range(_EPS_HALVINGS))
-    return _eps_walk(attempt, schedule, True, "c")
+    steps = (s_max - s_max * 0.5 ** (k + 1) for k in range(_EPS_HALVINGS))
+    return _eps_walk(attempt, "c", next(steps), up=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +681,8 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     def attempt(eps):
         return _case_d_attempt(p, fixed, eps, widenable, tol)
 
-    first = attempt(_EPS_START)
-    if first.witness is not None:
-        return first.witness
-    if first.needs_larger:  # too little margin even at the start value: climb instead
-        return _eps_walk(attempt, _EPS_RUNGS, True, "d")
-    return _eps_walk(attempt, _EPS_SCHEDULE[1:], False, "d")
+    # down the schedule, or up the rungs when eps = 0.25 already misses the margin
+    return _eps_walk(attempt, "d", _EPS_START, _EPS_SCHEDULE[1:], _EPS_RUNGS)
 
 
 def _case_d_attempt(p, fixed, eps, widenable, tol):
@@ -730,10 +732,5 @@ def _case_d_attempt(p, fixed, eps, widenable, tol):
     r[2] = math.sqrt(1.0 - t) * (r[0] + r[1])
     r[:2] *= eps
     kraus = u @ r.conj().swapaxes(-1, -2) @ uh
-    try:
-        channel = KrausChannel.build(kraus)
-    except ClosureViolation as exc:
-        return _Trial(None, f"closure failed at eps={eps}: {exc}", False)
-    q = _povm(q_mats, eigs, None, p.labels, tol)
-    witness = Witness(q, channel, widenable[j], "d", eps, MAX_EIG_INCREASE)
-    return _judge(p, witness, tol, headroom, margin_first=True)
+    return _judge(p, tol, q_mats, eigs, kraus, widenable[j], "d", eps, MAX_EIG_INCREASE, headroom,
+                  margin_first=True)

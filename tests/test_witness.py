@@ -46,6 +46,25 @@ def projector(ket):
     return np.outer(ket, ket.conj())
 
 
+def narrow_window_povm():
+    """An oblique qubit split whose case-d witness lies in a narrow eps window above 0.25."""
+    delta = 0.0113
+    w_ket = np.array([delta, np.sqrt(1 - delta**2)], dtype=complex)
+    mats = [
+        0.099 * projector(E1),
+        0.128 * projector(w_ket),
+    ]
+    rng = np.random.default_rng(3)
+    fill = [random_psd(2, rng, ridge=0.05) for _ in range(2)]
+    total = sum(mats) + sum(fill)
+    scale = 0.9 / np.linalg.eigvalsh(total)[-1]
+    mats = [scale * m for m in mats]
+    fill = [scale * m for m in fill]
+    mats.extend(fill)
+    mats.append(np.eye(2) - sum(mats))
+    return validate(mats)
+
+
 def qb_not_clean():
     return validate([0.25 * projector(E1), 0.25 * projector(E2), np.diag([0.75, 0.75]).astype(complex)])
 
@@ -310,21 +329,7 @@ class TestCaseD:
         # W nearly orthogonal to V: positivity wants eps small while the
         # 1e-6 widening margin wants eps large; the eps search must land in
         # the window between the two boundaries instead of stepping over it
-        delta = 0.0113
-        w_ket = np.array([delta, np.sqrt(1 - delta**2)], dtype=complex)
-        mats = [
-            0.099 * projector(E1),
-            0.128 * projector(w_ket),
-        ]
-        rng = np.random.default_rng(3)
-        fill = [random_psd(2, rng, ridge=0.05) for _ in range(2)]
-        total = sum(mats) + sum(fill)
-        scale = 0.9 / np.linalg.eigvalsh(total)[-1]
-        mats = [scale * m for m in mats]
-        fill = [scale * m for m in fill]
-        mats.extend(fill)
-        mats.append(np.eye(2) - sum(mats))
-        p = validate(mats)
+        p = narrow_window_povm()
         verdict = decide_clean(p)
         w = build_witness(p, verdict)
         report = verify_witness(p, w)
@@ -612,12 +617,8 @@ class TestOneJudgePerTrial:
         p = case_povm(case, 8)
         verdict = decide_clean(p)
         built, verified = [], []
-        for name in ("povm_unchecked", "_povm"):
-            monkeypatch.setattr(
-                witness,
-                name,
-                lambda *args, _make=getattr(witness, name): built.append(_make(*args)) or built[-1],
-            )
+        make = witness._povm
+        monkeypatch.setattr(witness, "_povm", lambda *args: built.append(make(*args)) or built[-1])
         spy(monkeypatch, witness, "verify_witness", verified)
         w = build_witness(p, verdict)
         assert len(built) == 1
@@ -654,6 +655,46 @@ class TestOneJudgePerTrial:
         assert not first.report.widened
         assert first.needs_larger is needs_larger
         assert problem in first.problem
+
+    @pytest.mark.parametrize("case, d", [*itertools.product("abcd", (4, 8)), ("d", "climbing")])
+    def test_one_walk_runs_every_trial_and_sums_closure_once_per_judged_trial(
+        self, monkeypatch, case, d
+    ):
+        # the climbing instance misses the margin at eps = 0.25 and climbs to its window
+        p = narrow_window_povm() if d == "climbing" else case_povm(case, d)
+        verdict = decide_clean(p)
+        walks, judged, closures, outside = [], [], [], []
+        walk, judge, attempt_d = witness._eps_walk, witness._judge, witness._case_d_attempt
+        closure_defect = KrausChannel.closure_defect
+
+        def one_walk(*args, **kwargs):
+            walks.append("open")
+            try:
+                return walk(*args, **kwargs)
+            finally:
+                walks.append("closed")
+
+        def in_walk(run, *args, **kwargs):
+            if walks != ["open"]:
+                outside.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(witness, "_eps_walk", one_walk)
+        monkeypatch.setattr(
+            witness, "_judge", lambda *a, **k: judged.append(a) or in_walk(judge, *a, **k)
+        )
+        monkeypatch.setattr(witness, "_case_d_attempt", lambda *a: in_walk(attempt_d, *a))
+        monkeypatch.setattr(
+            KrausChannel, "closure_defect", lambda self: closures.append(self) or closure_defect(self)
+        )
+        w = build_witness(p, verdict)
+        assert w.case_tag == case
+        assert walks == ["open", "closed"]  # one walk
+        assert outside == []  # every trial ran inside it
+        assert judged and len(closures) == len(judged)  # one closure sum per judged trial
+        assert closures[-1] is w.channel
+        if d == "climbing":
+            assert w.epsilon > 0.25
 
     def test_failed_search_keeps_its_last_report(self):
         # both supports weigh 1e-5: eps = 0.25 widens either by only 6.25e-7
@@ -735,10 +776,12 @@ class TestEarlyStop:
 
         walk, attempt_d = witness._eps_walk, witness._case_d_attempt
 
-        def spy_walk(trial, *args):
-            if args[-1] == "b":  # the case tag; case d is spied through its attempt
-                return walk(lambda x: judged_in_full("b", lambda: trial(x)), *args)
-            return walk(trial, *args)
+        def spy_walk(trial, case_tag, *args, **kwargs):
+            if case_tag == "b":  # case d is spied through its attempt
+                def trial_b(x):
+                    return judged_in_full("b", lambda: trial(x))
+                return walk(trial_b, case_tag, *args, **kwargs)
+            return walk(trial, case_tag, *args, **kwargs)
 
         monkeypatch.setattr(witness, "_eps_walk", spy_walk)
         monkeypatch.setattr(
@@ -758,7 +801,7 @@ class TestEarlyStop:
                 built.add(build_witness(p, verdict).case_tag)
             except ConstructionFailed as exc:
                 failures += 1
-                if "B(eps) undefined" not in str(exc) and "closure failed" not in str(exc):
+                if "B(eps) undefined" not in str(exc):
                     assert "q_valid" in exc.diagnostics, str(exc)
             assert not trials or not trials[-1], "a walk ended on an early stop"
         assert early["b"] > 0 and early["d"] > 0
