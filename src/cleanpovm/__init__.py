@@ -35,9 +35,6 @@ from .witness import (
     build_witness,
     verify_witness,
     witness_case_a,
-    witness_case_b,
-    witness_case_c,
-    witness_case_d,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +61,4 @@ __all__ = [
     "validate",
     "verify_witness",
     "witness_case_a",
-    "witness_case_b",
-    "witness_case_c",
-    "witness_case_d",
 ]

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidMatrix, NonHermitianInput, NotPsd
+from .errors import DimensionMismatch, InvalidMatrix
 
 
 #: The fixed gates of :class:`Tolerances`.
@@ -95,24 +95,6 @@ def hermitian_part(matrix) -> np.ndarray:
     """Hermitian part ``(A + A^dagger) / 2`` of a matrix or of each matrix in a stack."""
     a = np.asarray(matrix, dtype=complex)
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
-
-
-def eig_hermitian(matrix):
-    """Eigendecomposition of a (numerically) Hermitian matrix.
-
-    The input is symmetrized first; asymmetry beyond the hermiticity gate
-    is an error, below it is silently repaired.
-    Returns eigenvalues ascending and orthonormal eigenvector columns.
-    """
-    a = as_operator(matrix)
-    size, asym = fro_norms(np.concatenate([a, a - a.conj().T]).reshape(2, -1)).tolist()
-    scale = max(1.0, size)
-    if asym > HERM_TOL * scale:
-        raise NonHermitianInput(
-            f"asymmetry {asym:.3e} exceeds {HERM_TOL:.1e} * {scale:.3e}"
-        )
-    w, v = np.linalg.eigh(hermitian_part(a))
-    return w, v
 
 
 class SupportFrame(NamedTuple):
@@ -192,19 +174,6 @@ def in_span(kets, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     both = np.concatenate([k - basis @ (basis.conj().T @ k), k], axis=1).T  # one per row
     residual, size = fro_norms(both).reshape(2, -1)
     return residual <= tol.rank * size
-
-
-def psd_sqrt(matrix) -> np.ndarray:
-    """Hermitian PSD square root; negative eigenvalues within the PSD gate are clamped."""
-    w, v = eig_hermitian(matrix)
-    lam_max = max(float(w[-1]), 0.0)
-    if w[0] < -PSD_TOL * max(1.0, lam_max):
-        raise NotPsd(
-            f"minimum eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e} * {max(1.0, lam_max):.3e}",
-            min_eigenvalue=float(w[0]),
-        )
-    w = np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) calls
-    return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
 
 
 def orthonormal_complement(q: np.ndarray) -> np.ndarray:

@@ -86,12 +86,10 @@ from .linalg import (
     DEFAULT_TOL,
     PSD_TOL,
     Tolerances,
-    as_ket,
     fro_norms,
     hermitian_part,
     in_span,
     orthonormal_complement,
-    psd_sqrt,
     support_frame,
 )
 from .povm import (
@@ -238,10 +236,15 @@ def build_witness(p: Povm, verdict: CleannessVerdict, tol: Tolerances = DEFAULT_
             return witness_case_a(p, tol)
         if verdict.partition is None:
             raise PreconditionViolated("not-clean verdict carries no partition evidence")
+        basis = verdict.partition.basis_kets
+        if basis.shape[0] != p.dim:
+            raise DimensionMismatch(
+                f"expected {p.dim}-dimensional partition kets, got shape {basis.shape}"
+            )
         v_kets, w_kets = separating_pair(verdict.partition)
-        split = _split(p, v_kets, tol)
+        split = _split(p, v_kets.T, tol)
         if not split.orthogonal:
-            return _case_d(p, split, w_kets, tol)
+            return _case_d(p, split, w_kets.T, tol)
         if split.block_diagonal.all() and split.supports:
             return _case_b(p, split, tol)
         return _case_c(p, split, tol)
@@ -276,23 +279,9 @@ class _Split(NamedTuple):
     block_diagonal: np.ndarray | None
 
 
-def _kets(vectors, d: int) -> np.ndarray:
-    """A subspace's spanning kets, one per row.
-
-    An array holds its kets as columns (one ket when 1-D); any other
-    sequence lists them.
-    """
-    if isinstance(vectors, np.ndarray):
-        m = vectors.reshape(-1, 1) if vectors.ndim == 1 else vectors
-        if m.ndim != 2 or m.shape[0] != d:
-            raise DimensionMismatch(f"expected {d}-dimensional column kets, got shape {vectors.shape}")
-        return m.T
-    return np.array([as_ket(v, d) for v in vectors]).reshape(-1, d)
-
-
-def _split(p: Povm, v_kets, tol: Tolerances) -> _Split:
+def _split(p: Povm, v_rows: np.ndarray, tol: Tolerances) -> _Split:
     d = p.dim
-    ov = support_frame(_kets(v_kets, d), tol).q
+    ov = support_frame(v_rows, tol).q
     operp = orthonormal_complement(ov)
     supports = rank_one_supports(p)
     kets = np.array([s.ket for s in supports]).reshape(-1, d)
@@ -455,7 +444,7 @@ def case_b_widen_map(matrix: np.ndarray, a: np.ndarray, eps: float) -> np.ndarra
     return out
 
 
-def witness_case_b(p: Povm, v_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
+def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
     """Block-diagonal POVM over V + V^perp with rank-one and full-rank elements.
 
     One full-rank element absorbs the closure; every other element is pushed
@@ -467,25 +456,16 @@ def witness_case_b(p: Povm, v_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
     closure or map check fails; the first eps that misses the widening
     margin ends the search, since a smaller eps widens less.
     """
-    return _case_b(p, _split(p, v_kets, tol), tol)
-
-
-def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
     d = p.dim
     ov, operp, in_v = split.ov, split.operp, split.in_v
     if ov.shape[1] > operp.shape[1]:
         # keep dim V <= dim V^perp so a coisometry exists
         ov, operp, in_v = operp, ov, split.in_vperp
     k, m = ov.shape[1], operp.shape[1]
-    if not split.orthogonal:
-        raise PreconditionViolated("a rank-one support lies outside V and V^perp")
-    if not split.block_diagonal.all():
-        raise PreconditionViolated("some element is not block-diagonal for this split")
-
     supports = split.supports
     full = [i for i, e in enumerate(p.elements) if e.rank == d]
-    if not supports or not full:
-        raise PreconditionViolated("need at least one rank-one and one full-rank element")
+    if not full:
+        raise PreconditionViolated("no full-rank element absorbs the closure")
 
     u = np.concatenate([ov, operp], axis=1)
     weights = np.array([s.weight for s in supports])
@@ -536,23 +516,6 @@ def _case_b(p: Povm, split: _Split, tol: Tolerances) -> Witness:
 # case (c): orthogonal split, some element not block-diagonal
 
 
-def witness_case_c(p: Povm, v_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
-    """Projector-mixing channel whose inverse rescales off-diagonal blocks.
-
-    The channel {eps P_V, eps P_W, sqrt(1-eps^2) 1} leaves diagonal blocks
-    alone and shrinks off-diagonal blocks by 1 - eps^2, so Q scales them up
-    by 1/(1-eps^2) = 1 + s with s = eps^2/(1-eps^2). Block-diagonal elements
-    are untouched (Q_i = P_i, bit-equal). A moving full-rank element
-    P_i = L L^dagger with Hermitian off-diagonal part O_i stays PSD exactly
-    for s <= s_max,i = -1/lambda_min(L^-1 O_i L^-dagger); eps is taken in
-    closed form at s = min_i s_max,i / 2, and the mover whose minimum
-    eigenvalue drops most is the widened element. If no drop clears the
-    widening margin there, s moves toward min_i s_max,i, halving the
-    distance left at each trial.
-    """
-    return _case_c(p, _split(p, v_kets, tol), tol)
-
-
 def _rescaling_bounds(mats: np.ndarray, offs: np.ndarray) -> np.ndarray:
     """s_max,i = -1/lambda_min(L^-1 O_i L^-dagger) for each P_i = L L^dagger and O_i.
 
@@ -573,9 +536,20 @@ def _rescaling_bounds(mats: np.ndarray, offs: np.ndarray) -> np.ndarray:
 
 
 def _case_c(p: Povm, split: _Split, tol: Tolerances) -> Witness:
+    """Projector-mixing channel whose inverse rescales off-diagonal blocks.
+
+    The channel {eps P_V, eps P_W, sqrt(1-eps^2) 1} leaves diagonal blocks
+    alone and shrinks off-diagonal blocks by 1 - eps^2, so Q scales them up
+    by 1/(1-eps^2) = 1 + s with s = eps^2/(1-eps^2). Block-diagonal elements
+    are untouched (Q_i = P_i, bit-equal). A moving full-rank element
+    P_i = L L^dagger with Hermitian off-diagonal part O_i stays PSD exactly
+    for s <= s_max,i = -1/lambda_min(L^-1 O_i L^-dagger); eps is taken in
+    closed form at s = min_i s_max,i / 2, and the mover whose minimum
+    eigenvalue drops most is the widened element. If no drop clears the
+    widening margin there, s moves toward min_i s_max,i, halving the
+    distance left at each trial.
+    """
     d = p.dim
-    if not split.orthogonal:
-        raise PreconditionViolated("a rank-one support lies outside V and V^perp")
     movers = [
         i for i, e in enumerate(p.elements) if e.rank == d and not split.block_diagonal[i]
     ]
@@ -617,7 +591,7 @@ def _case_c_bisect(attempt, s_max: float) -> Witness:
 # case (d): oblique split
 
 
-def witness_case_d(p: Povm, v_kets, w_kets, tol: Tolerances = DEFAULT_TOL) -> Witness:
+def _case_d(p: Povm, split: _Split, w_rows: np.ndarray, tol: Tolerances) -> Witness:
     """Oblique separating pair: supports in V or W, some W-support not in V^perp.
 
     V and W are supplementary when :func:`~cleanpovm.linalg.support_frame`
@@ -638,14 +612,9 @@ def witness_case_d(p: Povm, v_kets, w_kets, tol: Tolerances = DEFAULT_TOL) -> Wi
     margin falls short ends the search; if eps = 0.25 already falls short,
     eps climbs 0.4, 0.55, ..., 0.95 until a check asks for a smaller one.
     """
-    return _case_d(p, _split(p, v_kets, tol), w_kets, tol)
-
-
-def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     d = p.dim
     ov, operp = split.ov, split.operp
     k, m = ov.shape[1], operp.shape[1]
-    w_rows = _kets(w_kets, d)
     if len(w_rows) != m:
         raise PreconditionViolated(
             f"W has {len(w_rows)} basis vectors, expected {m} for a supplement of V"
@@ -653,7 +622,7 @@ def _case_d(p: Povm, split: _Split, w_kets, tol: Tolerances) -> Witness:
     if len(support_frame(np.concatenate([ov.T, w_rows]), tol).selected) < d:
         raise PreconditionViolated("V and W are not supplementary")
 
-    bw = w_rows.T.astype(complex)
+    bw = w_rows.T
     cross = operp.conj().T @ bw
     try:
         psi_map = (ov.conj().T @ bw) @ np.linalg.inv(cross)  # V^perp coords -> V coords of W
@@ -703,7 +672,10 @@ def _case_d_attempt(p, fixed, eps, widenable, tol):
     coeff = 1.0 / (1.0 - t) ** 2 - 1.0  # closure forces B^2 = 1 - coeff A A^dagger
     if coeff * aa_top >= 1.0 - 1e-9:
         return _Trial(None, f"B(eps) undefined at eps={eps}", False)
-    b_mat = psd_sqrt(np.eye(k) - coeff * aa)
+    # B^2 is Hermitian by construction and the guard keeps its eigenvalues above 1e-9,
+    # so its square root needs no hermiticity or PSD gate
+    w, v = np.linalg.eigh(hermitian_part(np.eye(k) - coeff * aa))
+    b_mat = hermitian_part((v * np.sqrt(w)) @ v.conj().T)
 
     # in u, E(X) = sum m X m^dagger is block upper-triangular: solve it block by block
     b_inv = np.linalg.inv(b_mat)

@@ -3,7 +3,9 @@
 None of these plays a part in a verdict or a witness. The tests use them as
 independent checks: the d^2 x d^2 linear solve against case d's block
 inverse, the near-identity bound against sampled channels, and the
-spectrum-width check against channels and built witnesses.
+spectrum-width check against channels and built witnesses. The gated
+Hermitian eigendecomposition and PSD square root serve the samplers and the
+spectrum check.
 
 Operator vectorization is row-major, ``A.reshape(-1)``, so
 ``vec(X @ A @ Y) = kron(X, Y.T) @ vec(A)``.
@@ -16,10 +18,42 @@ from typing import Optional
 import numpy as np
 
 from cleanpovm.channel import KrausChannel, apply
-from cleanpovm.linalg import eig_hermitian, hermitian_part
+from cleanpovm.errors import NonHermitianInput, NotPsd
+from cleanpovm.linalg import HERM_TOL, PSD_TOL, as_operator, fro_norms, hermitian_part
 
 SOLVE_RESIDUAL_TOL = 1e-8  # the round-trip residual superop_solve accepts
 SPECTRUM_SLACK = 1e-10  # the noise spectrum_width_check forgives at each end
+
+
+def eig_hermitian(matrix):
+    """Eigendecomposition of a (numerically) Hermitian matrix.
+
+    The input is symmetrized first; asymmetry beyond the hermiticity gate
+    is an error, below it is silently repaired.
+    Returns eigenvalues ascending and orthonormal eigenvector columns.
+    """
+    a = as_operator(matrix)
+    size, asym = fro_norms(np.concatenate([a, a - a.conj().T]).reshape(2, -1)).tolist()
+    scale = max(1.0, size)
+    if asym > HERM_TOL * scale:
+        raise NonHermitianInput(
+            f"asymmetry {asym:.3e} exceeds {HERM_TOL:.1e} * {scale:.3e}"
+        )
+    w, v = np.linalg.eigh(hermitian_part(a))
+    return w, v
+
+
+def psd_sqrt(matrix) -> np.ndarray:
+    """Hermitian PSD square root; negative eigenvalues within the PSD gate are clamped."""
+    w, v = eig_hermitian(matrix)
+    lam_max = max(float(w[-1]), 0.0)
+    if w[0] < -PSD_TOL * max(1.0, lam_max):
+        raise NotPsd(
+            f"minimum eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e} * {max(1.0, lam_max):.3e}",
+            min_eigenvalue=float(w[0]),
+        )
+    w = np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) calls
+    return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
 
 
 class SingularSuperop(ArithmeticError):

@@ -3,8 +3,9 @@
 import numpy as np
 
 from cleanpovm.channel import KrausChannel
-from cleanpovm.linalg import haar_unitary, hermitian_part, psd_sqrt
+from cleanpovm.linalg import haar_unitary, hermitian_part
 from cleanpovm.povm import random_split_povm, validate
+from reference import psd_sqrt
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

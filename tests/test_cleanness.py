@@ -478,37 +478,42 @@ def _coarse_seed_instance():
     return random_quasi_qubit_instance(13, np.random.default_rng([21, 13, 11]))[1], tol
 
 
+#: The probe families climb every rung from the 0.25 start and fail the margin at 0.95.
+_PROBE_CLIMB = (0.25,) + witness._EPS_RUNGS
+
+
 @pytest.mark.parametrize(
-    "instance",
+    "instance, trajectory",
     [
         # every widenable support of these probe families has ||P_V psi|| of
         # 1.0-2.7e-8, just past the 1e-8 rank cut, so it gains below 5e-14
         # at every eps up to 0.95: a tolerance tie
-        lambda: (near_boundary_povm(16, 3e-9), DEFAULT_TOL),
-        lambda: (near_boundary_povm(28, 3e-9), DEFAULT_TOL),
-        lambda: (near_boundary_povm(88, 3e-9), DEFAULT_TOL),
-        lambda: (near_boundary_povm(114, 3e-9), DEFAULT_TOL),
-        lambda: (near_boundary_povm(66, 1e-8), DEFAULT_TOL),
-        _coarse_seed_instance,
+        (lambda: (near_boundary_povm(16, 3e-9), DEFAULT_TOL), _PROBE_CLIMB),
+        (lambda: (near_boundary_povm(28, 3e-9), DEFAULT_TOL), _PROBE_CLIMB),
+        (lambda: (near_boundary_povm(88, 3e-9), DEFAULT_TOL), _PROBE_CLIMB),
+        (lambda: (near_boundary_povm(114, 3e-9), DEFAULT_TOL), _PROBE_CLIMB),
+        (lambda: (near_boundary_povm(66, 1e-8), DEFAULT_TOL), _PROBE_CLIMB),
+        # down the schedule from 0.25 to 2.44e-4, where the margin fails
+        (_coarse_seed_instance, witness._EPS_SCHEDULE[:11]),
     ],
     ids=["probe-16", "probe-28", "probe-88", "probe-114", "probe-66", "seed-21-13-11-coarse"],
 )
-def test_failing_case_d_search_is_short(monkeypatch, instance):
+def test_failing_case_d_search_is_short(monkeypatch, instance, trajectory):
     """A case-d search that cannot succeed stops once its trials turn back,
-    on the widening margin."""
+    on the widening margin, after exactly the trials of its side."""
     calls = []
     attempt = witness._case_d_attempt
 
-    def spy(*args):
-        calls.append(args[4])  # eps
-        return attempt(*args)
+    def spy(p, fixed, eps, widenable, tol):
+        calls.append(eps)
+        return attempt(p, fixed, eps, widenable, tol)
 
     monkeypatch.setattr(witness, "_case_d_attempt", spy)
     p, tol = instance()
     match = "case-\\(d\\) eps search failed; last problem: widening margin"
     with pytest.raises(ConstructionFailed, match=match):
         build_witness(p, decide_clean(p, tol), tol)
-    assert 0 < len(calls) <= witness._EPS_HALVINGS
+    assert tuple(calls) == trajectory
 
 
 @pytest.mark.parametrize("delta, i", [(3e-9, 16), (3e-9, 28), (3e-9, 88), (3e-9, 114), (1e-8, 66)])

@@ -33,9 +33,9 @@ def counting(monkeypatch, module, name):
 #: The ``numpy.linalg`` entry points whose calls one fuzz instance is budgeted for.
 LINALG_CALLS = ("eigh", "eigvalsh", "svd", "qr", "solve", "inv", "cholesky", "norm")
 
-#: Ceiling on the total of :func:`linalg_calls` at d = 4 over seeds 0..49, 17.9
+#: Ceiling on the total of :func:`linalg_calls` at d = 4 over seeds 0..49, 17.1
 #: calls per instance (28.8 before the fuzz path ran on stacks); it may only fall.
-LINALG_CALL_BUDGET = 895
+LINALG_CALL_BUDGET = 854
 
 
 def linalg_calls(dim: int = 4, seeds=range(50)) -> dict:

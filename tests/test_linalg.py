@@ -13,12 +13,10 @@ from cleanpovm.linalg import (
     HERM_TOL,
     PSD_TOL,
     Tolerances,
-    eig_hermitian,
     haar_unitary,
     hermitian_part,
     in_span,
     orthonormal_complement,
-    psd_sqrt,
     random_psd,
     support_frame,
 )
@@ -26,6 +24,8 @@ from reference import (
     SOLVE_RESIDUAL_TOL,
     SPECTRUM_SLACK,
     SingularSuperop,
+    eig_hermitian,
+    psd_sqrt,
     superop_matrix,
     superop_solve,
 )

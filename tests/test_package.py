@@ -22,19 +22,13 @@ TYPES = {
 def readme_entry_points() -> set[str]:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listing = text.split("Main entry points:", 1)[1].split("`.", 1)[0] + "`"
-    names = set()
-    for name in re.findall(r"`([A-Za-z_.]+)`", listing):
-        if name.endswith("_a..d"):
-            names.update(name[:-4] + tag for tag in "abcd")
-        else:
-            names.add(name)
-    return names
+    return set(re.findall(r"`([A-Za-z_.]+)`", listing))
 
 
 def test_all_is_the_readme_entry_points_and_the_types():
     """Every listed entry point is exported and importable, and nothing else is."""
     entry_points = readme_entry_points()
-    assert {"validate", "decide_clean", "witness_case_d", "random_split_povm"} <= entry_points
+    assert {"validate", "decide_clean", "build_witness", "random_split_povm"} <= entry_points
     assert entry_points.isdisjoint(TYPES)
     assert set(cleanpovm.__all__) == entry_points | TYPES
     assert len(cleanpovm.__all__) == len(set(cleanpovm.__all__))

@@ -18,17 +18,16 @@ from cleanpovm.cleanness import scalar_weights
 from cleanpovm.errors import DimensionMismatch, InvalidMatrix
 from cleanpovm.linalg import (
     DEFAULT_TOL,
-    eig_hermitian,
     fro_norms,
     haar_unitary,
     hermitian_part,
     in_span,
-    psd_sqrt,
     random_psd,
     support_frame,
 )
 from cleanpovm.povm import random_povm, random_split_povm, validate
 from cleanpovm.witness import case_b_kraus, case_b_widen_map
+from reference import eig_hermitian, psd_sqrt
 
 DIMS = (2, 3, 4, 8, 16)
 

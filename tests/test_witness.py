@@ -21,7 +21,7 @@ from cleanpovm.errors import (
 )
 from cleanpovm.fileio import dumps_canonical, witness_bundle_from_json, witness_bundle_to_json
 from cleanpovm.fuzz import random_quasi_qubit_instance
-from cleanpovm.linalg import Tolerances, haar_unitary, hermitian_part, random_psd
+from cleanpovm.linalg import DEFAULT_TOL, Tolerances, haar_unitary, hermitian_part, random_psd
 from cleanpovm.povm import povm_unchecked, random_povm, random_split_povm, validate
 from cleanpovm.witness import (
     Witness,
@@ -31,9 +31,6 @@ from cleanpovm.witness import (
     case_b_widen_map,
     verify_witness,
     witness_case_a,
-    witness_case_b,
-    witness_case_c,
-    witness_case_d,
 )
 from reference import invert_positive_map, spectrum_width_check
 from samplers import near_boundary_povm
@@ -69,6 +66,15 @@ def qb_not_clean():
     return validate([0.25 * projector(E1), 0.25 * projector(E2), np.diag([0.75, 0.75]).astype(complex)])
 
 
+def on_split(case_tag, p, v_rows, w_rows=()):
+    """Run construction ``case_tag`` (b, c or d) on the split whose V the kets
+    ``v_rows`` span (and, for case d, whose W the kets ``w_rows`` span)."""
+    split = witness._split(p, np.array(v_rows), DEFAULT_TOL)
+    if case_tag == "d":
+        return witness._case_d(p, split, np.array(w_rows), DEFAULT_TOL)
+    return getattr(witness, f"_case_{case_tag}")(p, split, DEFAULT_TOL)
+
+
 class TestCaseA:
     def test_worked_two_outcome_instance(self):
         p = validate([0.5 * np.eye(2), 0.5 * np.eye(2)])
@@ -101,7 +107,7 @@ class TestCaseA:
 class TestCaseB:
     def test_qb_instance_exact_widening(self):
         p = qb_not_clean()
-        w = witness_case_b(p, E1.reshape(2, 1))
+        w = on_split("b", p, [E1])
         assert w.case_tag == "b"
         widened = w.q.elements[w.widened_index].matrix
         expected = (1 + w.epsilon**2) * 0.25
@@ -149,11 +155,16 @@ class TestCaseB:
         grow = 1 + eps**2 * np.linalg.norm(a @ w_ket) ** 2
         assert np.trace(widened).real == pytest.approx(0.4 * grow, abs=1e-12)
 
-    def test_precondition_checked(self):
+    def test_precondition_checked(self, monkeypatch):
+        # an element that is not block-diagonal for the split never reaches
+        # case b: the dispatch sends the POVM to case c
+        built = []
+        monkeypatch.setattr(witness, "_case_b", lambda *args: built.append(args))
         pm = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
         p = validate([pm, np.eye(2) - pm])
-        with pytest.raises(PreconditionViolated):
-            witness_case_b(p, E1.reshape(2, 1))
+        w = build_witness(p, decide_clean(p))
+        assert built == [] and w.case_tag == "c"
+        assert verify_witness(p, w).passed
 
     def test_search_stops_at_the_first_margin_failure(self, monkeypatch):
         # both supports weigh 1e-5, so eps = 0.25 widens either by only
@@ -185,7 +196,7 @@ class TestCaseC:
     def test_off_diagonal_rescaling_formula(self):
         pm = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
         p = validate([pm, np.eye(2) - pm])
-        w = witness_case_c(p, E1.reshape(2, 1))
+        w = on_split("c", p, [E1])
         assert w.case_tag == "c"
         scale = 1.0 / (1.0 - w.epsilon**2)
         q0 = w.q.elements[0].matrix
@@ -204,7 +215,7 @@ class TestCaseC:
         bounds = _rescaling_bounds(np.stack([pm, np.eye(2) - pm]), np.stack([off, -off]))
         assert np.allclose(bounds, [4.0, 4.0], rtol=0, atol=1e-12)
         p = validate([pm, np.eye(2) - pm])
-        w = witness_case_c(p, E1.reshape(2, 1))
+        w = on_split("c", p, [E1])
         assert abs(w.epsilon - np.sqrt(2 / 3)) <= 1e-12
         assert w.widened_index == 0
         assert verify_witness(p, w).passed
@@ -215,7 +226,7 @@ class TestCaseC:
         # and s has to move on toward s_max
         pm = np.array([[3e-6, 9e-4], [9e-4, 0.5]], dtype=complex)
         p = validate([pm, np.eye(2) - pm])
-        w = witness_case_c(p, E1.reshape(2, 1))
+        w = on_split("c", p, [E1])
         assert w.widened_index == 0
         assert verify_witness(p, w).passed
         assert build_witness(p, decide_clean(p)).case_tag == "c"
@@ -244,13 +255,13 @@ class TestCaseC:
     def test_channel_closure_is_projector_algebra(self):
         pm = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
         p = validate([pm, np.eye(2) - pm])
-        w = witness_case_c(p, E1.reshape(2, 1))
+        w = on_split("c", p, [E1])
         assert w.channel.closure_residual() <= 1e-14
 
     def test_min_eig_strictly_drops(self):
         pm = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
         p = validate([pm, np.eye(2) - pm])
-        w = witness_case_c(p, E1.reshape(2, 1))
+        w = on_split("c", p, [E1])
         i = w.widened_index
         assert w.direction == "min-eig-decrease"
         assert (
@@ -264,7 +275,7 @@ class TestCaseD:
         w_ket = (E1 + E2) / np.sqrt(2)
         p1 = 0.3 * projector(w_ket)
         p = validate([p1, np.eye(2) - p1])
-        w = witness_case_d(p, E1.reshape(2, 1), w_ket.reshape(2, 1))
+        w = on_split("d", p, [E1], [w_ket])
         assert w.case_tag == "d" and w.widened_index == 0
         report = verify_witness(p, w)
         assert report.passed
@@ -323,7 +334,7 @@ class TestCaseD:
         p = qb_not_clean()
         with pytest.raises(PreconditionViolated):
             # both supports are in V or V^perp; no support lies in W away from V^perp
-            witness_case_d(p, E1.reshape(2, 1), E2.reshape(2, 1))
+            on_split("d", p, [E1], [E2])
 
     def test_narrow_feasible_window_is_found(self):
         # W nearly orthogonal to V: positivity wants eps small while the
@@ -384,6 +395,14 @@ class TestBuildWitnessDispatch:
         p = random_split_povm(3, 1, 1, 2, rng, oblique=True)
         w = build_witness(p, decide_clean(p))
         assert w.case_tag == "d"
+
+    def test_verdict_of_another_dimension_is_a_construction_failure(self):
+        # a qubit split's partition kets cannot span subspaces of C^3
+        p3 = validate([np.diag([0.25, 0.0, 0.0]), np.diag([0.75, 1.0, 1.0])])
+        with pytest.raises(ConstructionFailed) as info:
+            build_witness(p3, decide_clean(qb_not_clean()))
+        assert isinstance(info.value.__cause__, DimensionMismatch)
+        assert info.value.case_tag is None
 
     def test_clean_verdict_rejected(self):
         p = random_povm("rank-one", 2, 3, 0)
