@@ -13,6 +13,7 @@ eigenvectors or supports, which :func:`rank_one_supports` refuses to read.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -172,6 +173,20 @@ def _povm(stack: np.ndarray, w, v, labels, tol: Tolerances) -> Povm:
     return Povm(stack.shape[1], elements, labels, stack, w)
 
 
+def _decompose(a: np.ndarray, vectors: bool):
+    """The Hermitian part h of the stack ``a`` and its ``eigh``, or its ``eigvalsh``
+    and ``None``. When h overflows and the solver fails on it, the eigenvalues are
+    NaN and there are no eigenvectors; :func:`_axiom_violation` rejects such a stack."""
+    h = hermitian_part(a)
+    try:
+        w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    except np.linalg.LinAlgError:
+        if np.isfinite(h).all():
+            raise
+        w, v = np.full(h.shape[:2], np.nan), None
+    return h, w, v
+
+
 def _axiom_violation(
     a: np.ndarray, h: np.ndarray, w: np.ndarray, tol: Tolerances, extra: Sequence = ()
 ) -> tuple[Optional[CleanPovmError], np.ndarray]:
@@ -183,28 +198,50 @@ def _axiom_violation(
     1]`` and the ``(k, d, d)`` stacks of ``extra``. Returns the error that
     :func:`validate` raises, chosen in its order and worded as it words it
     (``None`` when every gate passes), and the norms of ``extra``'s matrices.
+
+    An element whose norms overflow is decided on its copy divided by a power
+    of two ``scale`` near its largest entry, with each 1 in its gates read as
+    1 / scale, so the gates decide as exact arithmetic would; a message scales
+    its value back. The closure residual is then summed over every element
+    divided by the largest scale (an element that large cannot close).
     """
-    n = len(a)
+    n, d = a.shape[:2]
     total = h.sum(axis=0)  # adds the elements in order, as a running sum does
-    total.flat[:: a.shape[1] + 1] -= 1.0  # the diagonal
+    total.flat[:: d + 1] -= 1.0  # the diagonal
     norms = fro_norms(np.concatenate([a - a.conj().swapaxes(1, 2), a, h, total[None], *extra]))
     asym, size, h_size = norms[: 3 * n].reshape(3, -1)
     residual = float(norms[3 * n])
     extra_norms = norms[3 * n + 1 :]
-    non_hermitian = asym > HERM_TOL * np.maximum(1.0, size)
-    lam_min = w[:, 0]
-    not_psd = lam_min < -PSD_TOL * np.maximum(1.0, w[:, -1])
-    zero = h_size <= tol.zero
+    lam_min, lam_max = w[:, 0], w[:, -1]
+    scale = 1.0
+    if not math.isfinite(norms[: 3 * n].sum()):  # a norm overflowed; |lambda| <= ||h||_F
+        huge = ~np.isfinite(norms[: 3 * n].reshape(3, -1)).all(axis=0)
+        peak = np.maximum(abs(a.real), abs(a.imag)).max(axis=(1, 2))
+        scale = np.where(huge, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)
+        b = a / scale[:, None, None]  # entries below 2, and a itself where scale is 1
+        hb = hermitian_part(b)
+        norms = fro_norms(np.concatenate([b - b.conj().swapaxes(1, 2), b, hb]))
+        asym, size, h_size = norms.reshape(3, -1)
+        lam_min, lam_max = lam_min.copy(), lam_max.copy()
+        lam_min[huge], lam_max[huge] = np.linalg.eigvalsh(hb[huge])[:, [0, -1]].T
+        top = float(scale.max())
+        total = hermitian_part(a / top).sum(axis=0)
+        total.flat[:: d + 1] -= 1.0 / top
+        residual = top * float(fro_norms(total[None])[0])  # a float product: inf past the range
+    unit = 1.0 / scale
+    non_hermitian = asym > HERM_TOL * np.maximum(unit, size)
+    not_psd = lam_min < -PSD_TOL * np.maximum(unit, lam_max)
+    zero = h_size <= tol.zero * unit
     bad = non_hermitian | not_psd | zero
     if bad.any():
         i = int(bad.argmax())
         if non_hermitian[i]:
-            error = NonHermitianInput(f"element {i + 1}: asymmetry {asym[i]:.3e} exceeds tolerance")
+            error = NonHermitianInput(f"element {i + 1}: asymmetry {(asym * scale)[i]:.3e} exceeds tolerance")
         elif not_psd[i]:
             error = NotPsd(
-                f"element {i + 1}: minimum eigenvalue {lam_min[i]:.3e}",
+                f"element {i + 1}: minimum eigenvalue {(lam_min * scale)[i]:.3e}",
                 index=i,
-                min_eigenvalue=float(lam_min[i]),
+                min_eigenvalue=float((lam_min * scale)[i]),
             )
         else:
             error = ZeroElement(f"element {i + 1} is numerically zero", index=i)
@@ -228,8 +265,7 @@ def validate(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=None) -> 
     ``index`` is 0-based.
     """
     a = _stack(matrices)
-    h = hermitian_part(a)
-    w, v = np.linalg.eigh(h)
+    h, w, v = _decompose(a, vectors=True)
     error, _ = _axiom_violation(a, h, w, tol)
     if error is not None:
         raise error
@@ -247,7 +283,8 @@ def povm_unchecked(matrices: Sequence, tol: Tolerances = DEFAULT_TOL, labels=Non
     or supports are built.
     """
     a = _stack(matrices)
-    return _povm(a, np.linalg.eigvalsh(hermitian_part(a)), None, labels, tol)
+    _, w, _ = _decompose(a, vectors=False)
+    return _povm(a, w, None, labels, tol)
 
 
 def classify(povm: Povm) -> RankProfile:

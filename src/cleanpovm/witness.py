@@ -16,9 +16,9 @@ clean. Four constructions cover all not-clean quasi-qubit POVMs:
   in closed form from the positivity bound of each rescaled element (half
   the bound, or closer to it when the widening margin needs more);
 * case ``d`` — an oblique split V + W (supports confined to V and W, some
-  W-support not orthogonal to V): a three-operator channel that is block
-  upper-triangular in a basis adapted to V, inverted block by block in
-  closed form on every element.
+  W-support not orthogonal to V): a three-operator channel, block upper-triangular
+  in a basis adapted to V where its A : V^perp -> V has orthogonal columns (so B(eps)
+  and B^-1 are rank updates of 1), inverted block by block in closed form on every element.
 
 Cases b-d share one reading of the separating pair, made once per witness:
 V's orthonormal basis from :func:`~cleanpovm.linalg.support_frame`, the rule
@@ -600,9 +600,11 @@ def _case_d(p: Povm, split: _Split, w_rows: np.ndarray, tol: Tolerances) -> Witn
     basis adapted to V, a matrix A is read off a basis of W normalized so
     its V^perp components are the identity; the V^perp basis is rotated so
     A's columns are orthogonal, making [[0, A], [0, 1]] an orthogonal-column
-    map onto W. The three Kraus operators built from A and the PSD square
-    root B(eps) close exactly, and in this basis the channel is block
-    upper-triangular, so every element is pulled back in closed form:
+    map onto W. The three Kraus operators built from A and B(eps), the square root
+    of 1 - c A A^dagger, close exactly. Orthogonal columns of squared norms sigma_c^2
+    make B = 1 - A diag(g) A^dagger and B^-1 = 1 + A diag(g / s) A^dagger for
+    s_c = sqrt(1 - c sigma_c^2), g_c = c / (1 + s_c). In this basis the channel is
+    block upper-triangular, so every element is pulled back in closed form:
     X_22 = Y_22, X_12 = B^-1 Y_12 / (1 - eps^2) and
     X_11 = B^-1 (Y_11 - alpha (A X_21 B + B X_12 A^dagger) - beta A X_22 A^dagger) B^-1
     for scalars alpha(eps), beta(eps); a rank-one element pulls back to a
@@ -628,8 +630,8 @@ def _case_d(p: Povm, split: _Split, w_rows: np.ndarray, tol: Tolerances) -> Witn
         psi_map = (ov.conj().T @ bw) @ np.linalg.inv(cross)  # V^perp coords -> V coords of W
     except np.linalg.LinAlgError as exc:
         raise PreconditionViolated(f"W projects singularly onto V^perp: {exc}") from exc
-    _, rot = np.linalg.eigh(psi_map.conj().T @ psi_map)
-    a = psi_map @ rot  # columns mutually orthogonal
+    sigma2, rot = np.linalg.eigh(psi_map.conj().T @ psi_map)
+    a = psi_map @ rot  # columns mutually orthogonal, of squared norms sigma2
     operp = operp @ rot
     u = np.concatenate([ov, operp], axis=1)
 
@@ -641,11 +643,9 @@ def _case_d(p: Povm, split: _Split, w_rows: np.ndarray, tol: Tolerances) -> Witn
     if not widenable:
         raise PreconditionViolated("no rank-one support lies in W away from V^perp")
 
-    aa = a @ a.conj().T
-    aa_top = float(np.linalg.eigvalsh(hermitian_part(aa))[-1])
     y = u.conj().T @ p.matrices @ u  # P in u's coordinates; every trial solves E(X) = y
     # what no trial changes, among them A X22 A^dagger, since X22 = Y22
-    fixed = (u, u.conj().T, a, aa, aa_top, y, a @ y[:, k:, k:] @ a.conj().T)
+    fixed = (u, u.conj().T, a, sigma2, y, a @ y[:, k:, k:] @ a.conj().T)
 
     def attempt(eps):
         return _case_d_attempt(p, fixed, eps, widenable, tol)
@@ -665,20 +665,19 @@ def _case_d_attempt(p, fixed, eps, widenable, tol):
     fail positivity, every check asks for a smaller eps, so a trial at an
     eps in :data:`_EPS_GOES_ON` stops there, before building its channel.
     """
-    u, uh, a, aa, aa_top, y, a_y22_ah = fixed
-    d = p.dim
+    u, uh, a, sigma2, y, a_y22_ah = fixed
     k, m = a.shape
     t = eps**2
     coeff = 1.0 / (1.0 - t) ** 2 - 1.0  # closure forces B^2 = 1 - coeff A A^dagger
-    if coeff * aa_top >= 1.0 - 1e-9:
+    if coeff * sigma2[-1] >= 1.0 - 1e-9:
         return _Trial(None, f"B(eps) undefined at eps={eps}", False)
-    # B^2 is Hermitian by construction and the guard keeps its eigenvalues above 1e-9,
-    # so its square root needs no hermiticity or PSD gate
-    w, v = np.linalg.eigh(hermitian_part(np.eye(k) - coeff * aa))
-    b_mat = hermitian_part((v * np.sqrt(w)) @ v.conj().T)
+    # A A^dagger sums a_c a_c^dagger over orthogonal columns: B, B^-1 are rank updates of 1
+    s = np.sqrt(1.0 - coeff * sigma2)
+    g = coeff / (1.0 + s)  # (1 - s) / sigma^2, finite at sigma = 0
+    b_mat = np.eye(k) - (a * g) @ a.conj().T
+    b_inv = np.eye(k) + (a * (g / s)) @ a.conj().T
 
     # in u, E(X) = sum m X m^dagger is block upper-triangular: solve it block by block
-    b_inv = np.linalg.inv(b_mat)
     alpha = -t / (1.0 - t) - t
     beta = t / (1.0 - t) ** 2 + t + t**2 / (1.0 - t)
     x = np.empty_like(y)
@@ -696,7 +695,7 @@ def _case_d_attempt(p, fixed, eps, widenable, tol):
     if headroom and eps in _EPS_GOES_ON and gains[j] >= WIDENING_MARGIN:
         return _Trial(None, headroom.format(eps=eps), False)
 
-    r = np.zeros((3, d, d), dtype=complex)  # R_V, R_W, then sqrt(1 - eps^2) (R_V + R_W)
+    r = np.zeros((3, *u.shape), dtype=complex)  # R_V, R_W, then sqrt(1 - eps^2) (R_V + R_W)
     r[0, :k, :k] = b_mat
     r[0, :k, k:] = -a / (1.0 - t)
     r[1, :k, k:] = a

@@ -332,6 +332,38 @@ class TestPerElementReference:
         assert isinstance(_assert_same_outcome(matrices), Exception)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+class TestOverflowingNorms:
+    """An element whose norms overflow is judged as exact arithmetic would."""
+
+    def test_non_hermitian_elements_whose_norms_overflow(self):
+        # each Hermitian part is 1/2 and they close; the asymmetry 2.8e200 squares past the range
+        with pytest.raises(NonHermitianInput, match=r"^element 1: asymmetry 2\.828e\+200 exceeds"):
+            validate([[[0.5, 1e200], [-1e200, 0.5]], [[0.5, -1e200], [1e200, 0.5]]])
+
+    def test_elements_whose_hermitian_part_overflows(self):
+        # 1.5e308 + 1.5e308 overflows in the Hermitian part; element 2 is negative definite
+        with pytest.raises(NotPsd) as info:
+            validate([diag(1.5e308, 1.5e308), diag(1 - 1.5e308, 1 - 1.5e308)])
+        assert (info.value.index, info.value.min_eigenvalue) == (1, -1.5e308)
+
+    @pytest.mark.parametrize(
+        "matrices",
+        [
+            # the Hermitian parts' off-diagonal entries overflow to +inf and -inf,
+            # whose sum the residual would read as NaN
+            [np.full((2, 2), 1.5e308), [[1.5e308, -1.5e308], [-1.5e308, 1.5e308]]],
+            # eigh fails on the overflowed Hermitian part
+            [np.full((3, 3), 1.5e308), np.eye(3)],
+        ],
+        ids=["nan-residual", "eigh-fails"],
+    )
+    def test_psd_elements_too_large_to_close(self, matrices):
+        # every element passes its own gates
+        with pytest.raises(ClosureViolation):
+            validate(matrices)
+
+
 class TestClassify:
     def test_strict_quasi_qubit(self):
         p = validate([0.25 * np.outer(E1, E1), 0.25 * np.outer(E2, E2), diag(0.75, 0.75)])

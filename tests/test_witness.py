@@ -347,6 +347,24 @@ class TestCaseD:
         assert report.passed
         assert report.widening_margin >= 1e-6
 
+    def test_fuzz_witnesses_close_and_map_far_inside_the_contract(self):
+        # B(eps) and B(eps)^-1 are rank updates of the identity along A's columns;
+        # built right, every residual here is rounding (at most 1.6e-14)
+        checked = 0
+        for d, count in ((3, 200), (4, 200), (8, 200), (12, 60), (16, 60)):
+            for i in range(count):
+                _, p = random_quasi_qubit_instance(d, np.random.default_rng([7, d, i]))
+                verdict = decide_clean(p)
+                if verdict.clean:
+                    continue
+                w = build_witness(p, verdict)
+                if w.case_tag == "d":
+                    report = verify_witness(p, w)
+                    assert report.closure_residual <= 1e-13, (d, i)
+                    assert report.max_map_residual <= 1e-13, (d, i)
+                    checked += 1
+        assert checked == 87
+
     def test_light_w_support_passes_the_widening_to_a_heavier_one(self):
         # element 3's support lies in W but weighs 3.5e-7, too little to widen
         # by 1e-6 at eps = 0.125; the trial widens element 4 instead
@@ -440,6 +458,26 @@ class TestVerifyWitness:
         broken = KrausChannel(w.channel.dim, w.channel.kraus[:-1])  # skip validation on purpose
         report = verify_witness(p, Witness(w.q, broken, w.widened_index, w.case_tag, w.epsilon, w.direction))
         assert not report.channel_unital
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "q_mats",
+        [
+            # Hermitian parts 1/2 each, which close; the asymmetry 2.8e200 squares past the range
+            [[[0.5, 1e200], [-1e200, 0.5]], [[0.5, -1e200], [1e200, 0.5]]],
+            # the Hermitian part overflows, and eigvalsh fails on it
+            [np.full((3, 3), 1.5e308), np.eye(3)],
+        ],
+        ids=["asymmetry", "hermitian-part"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_q_whose_norms_overflow_is_invalid(self, q_mats):
+        d = len(q_mats[1])
+        p = validate([0.5 * np.eye(d), 0.5 * np.eye(d)])
+        w = build_witness(p, decide_clean(p))
+        q = povm_unchecked(q_mats)
+        report = verify_witness(p, Witness(q, w.channel, 0, w.case_tag, w.epsilon, w.direction))
+        assert not report.q_valid
         assert not report.passed
 
     @pytest.mark.parametrize("past_end", [False, True], ids=["minus-one", "n"])
